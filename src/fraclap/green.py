@@ -294,27 +294,30 @@ class Potential:
 
     @classmethod
     def power(cls, coeff: float, exponent: float) -> "Potential":
-        if coeff < 0.0:
-            raise ValueError("potential must be non-negative")
+        _check_coeff(coeff)
+        if not math.isfinite(exponent):
+            raise ValueError("potential exponent must be finite")
         return cls(kind="power", coeff=coeff, exponent=exponent)
 
     @classmethod
     def delta(cls, site: int, coeff: float) -> "Potential":
         if site < 1:
             raise ValueError("site >= 1 required")
-        if coeff < 0.0:
-            raise ValueError("potential must be non-negative")
+        _check_coeff(coeff)
         return cls(kind="delta", coeff=coeff, site=site)
 
     @classmethod
     def explicit(cls, values, finitely_supported: bool = False) -> "Potential":
         vals = tuple(float(v) for v in values)
-        if any(v < 0.0 for v in vals):
-            raise ValueError("potential must be non-negative")
+        for v in vals:
+            _check_coeff(v)
         return cls(kind="explicit", data=vals, finitely_supported=finitely_supported)
 
     def values(self, count: int) -> np.ndarray:
-        n = np.arange(1, count + 1, dtype=float)
+        return self.at(np.arange(1, count + 1, dtype=float))
+
+    def at(self, n: np.ndarray) -> np.ndarray:
+        """V_n at the sites n, a float array of positive integers."""
         if self.kind == "classical_hardy":
             return 1.0 / (4.0 * n**2)
         if self.kind == "kpp":
@@ -322,13 +325,11 @@ class Potential:
         if self.kind == "power":
             return self.coeff / n**self.exponent
         if self.kind == "delta":
-            out = np.zeros(count)
-            if self.site <= count:
-                out[self.site - 1] = self.coeff
-            return out
-        out = np.zeros(count)
-        k = min(count, len(self.data))
-        out[:k] = self.data[:k]
+            return np.where(n == self.site, self.coeff, 0.0)
+        data = np.asarray(self.data, dtype=float)
+        inside = n <= data.size
+        out = np.zeros(n.shape)
+        out[inside] = data[n[inside].astype(int) - 1]
         return out
 
     def value(self, n: int) -> float:
@@ -342,6 +343,13 @@ class Potential:
         if self.kind == "explicit":
             return f"explicit({len(self.data)} values)"
         return self.kind
+
+
+def _check_coeff(value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"potential values must be finite, got {value!r}")
+    if value < 0.0:
+        raise ValueError("potential must be non-negative")
 
 
 def _kpp_values(n: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy import special as sp
 from scipy.linalg import hankel, toeplitz
 
 from . import quadrature
-from .special import _sinpi, digamma, gen_binomial
+from .special import _sinpi
 
 SPECIAL_NEGATIVE = (-0.5, -1.0)
 
@@ -164,6 +164,33 @@ def assemble(alpha: float | Exponent, size: int) -> TruncatedOperator:
         c = _signed_coeff(a, np.arange(0, 2 * size + 1))
         mat = toeplitz(c[:size]) - hankel(c[2 : size + 2], c[size + 1 : 2 * size + 1])
     return TruncatedOperator(size=size, entries=mat, provenance="power_alpha")
+
+
+def assemble_band(alpha: float | Exponent, size: int) -> np.ndarray:
+    """Lower band storage of the size x size section of an integer power.
+
+    Row d holds the d-th subdiagonal, ``ab[d, j] = A[j+d, j]``, zero padded
+    at the end; there are min(alpha, size-1) + 1 rows.  The entries are the
+    Toeplitz diagonals c[d] minus the Hankel corner c[m+n] (1-based
+    m >= n, m + n <= alpha), the only nonzero Hankel terms, since c[k]
+    vanishes for k > alpha.  They equal those of :func:`assemble` bit for
+    bit, without an N x N allocation.
+    """
+    exp_ = alpha if isinstance(alpha, Exponent) else Exponent(alpha)
+    a = exp_.alpha
+    if not (a > 0.0 and a == math.floor(a)):
+        raise UnsupportedExponentError("band storage needs a positive integer power")
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    width = int(a)
+    c = _signed_coeff(a, np.arange(width + 1))
+    ab = np.zeros((min(width, size - 1) + 1, size))
+    for d in range(ab.shape[0]):
+        ab[d, : size - d] = c[d]
+    for n in range(1, width // 2 + 1):
+        for m in range(n, min(width - n, size) + 1):
+            ab[m - n, n - 1] -= c[m + n]
+    return ab
 
 
 def assemble_reflected(alpha: float | Exponent, size: int) -> TruncatedOperator:

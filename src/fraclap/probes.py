@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh
+from scipy.linalg import eig_banded, eigh, solve_banded
 from scipy.optimize import brentq
 
 from . import green, operators, quadrature
@@ -29,6 +29,12 @@ _EIG_RESOLUTION = 1e-12
 
 #: lower end of the Birman-Schwinger search, as log10(-lambda)
 _BS_LOG_FLOOR = -300.0
+
+#: banded solves of the inverse iteration behind each integer-power probe
+_INVERSE_STEPS = 2
+
+#: sites per chunk of the kpp domination check, which bounds its memory
+_KPP_CHUNK = 1 << 16
 
 
 def probe_tol(alpha: float) -> float:
@@ -77,43 +83,98 @@ class ConvergenceSeries:
         return cls(pts, limit, abs(limit - e3) + 1e-2 * abs(d2), monotone)
 
 
-def _min_eig_matrix(mat: np.ndarray, band: int | None) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a dense symmetric matrix.
-
-    When the matrix is banded (integer powers of the Laplacian are), the
-    O(N b^2) banded solver replaces the O(N^3) dense one.
-    """
-    n = mat.shape[0]
-    if band is not None and band < n - 1:
-        ab = np.zeros((band + 1, n))
-        for d in range(band + 1):
-            ab[d, : n - d] = np.diagonal(mat, -d)
-        w, v = eig_banded(ab, lower=True, select="i", select_range=(0, 0))
-        return float(w[0]), v[:, 0]
-    w, v = eigh(mat, subset_by_index=(0, 0))
-    return float(w[0]), v[:, 0]
-
-
 def _band_width(alpha: float) -> int | None:
     if alpha > 0 and alpha == math.floor(alpha):
         return int(alpha)
     return None
 
 
-def _probe_from_matrix(
-    alpha: float, mat: np.ndarray, descriptor: str, band: int | None
-) -> ProbeResult:
-    lam, v = _min_eig_matrix(mat, band)
-    residual = float(np.linalg.norm(mat @ v - lam * v))
-    norm_scale = float(np.abs(mat).sum(axis=1).max())  # row-sum bound on the norm
+def _result(alpha, size, descriptor, lam, residual, norm_scale) -> ProbeResult:
     return ProbeResult(
         alpha=alpha,
-        size=mat.shape[0],
+        size=size,
         potential=descriptor,
         min_eigenvalue=lam,
         converged=residual <= 1e-8 * norm_scale,
         residual=residual,
     )
+
+
+def _probe_dense(alpha: float, mat: np.ndarray, descriptor: str) -> ProbeResult:
+    w, v = eigh(mat, subset_by_index=(0, 0))
+    lam, v = float(w[0]), v[:, 0]
+    residual = float(np.linalg.norm(mat @ v - lam * v))
+    norm_scale = float(np.abs(mat).sum(axis=1).max())  # row-sum bound on the norm
+    return _result(alpha, mat.shape[0], descriptor, lam, residual, norm_scale)
+
+
+def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Product of the symmetric matrix in lower band storage ab with v."""
+    n = v.size
+    out = ab[0] * v
+    for d in range(1, ab.shape[0]):
+        out[d:] += ab[d, : n - d] * v[: n - d]
+        out[: n - d] += ab[d, : n - d] * v[d:]
+    return out
+
+
+def _inverse_iteration(ab: np.ndarray, shift: float) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue nearest shift, by banded solves.
+
+    The shift lies within rounding of an eigenvalue, so every solve
+    amplifies its eigenvector by about 1/eps over the rest of the spectrum,
+    and _INVERSE_STEPS solves from a fixed random start suffice.
+    """
+    width, n = ab.shape[0] - 1, ab.shape[1]
+    full = np.zeros((2 * width + 1, n))  # general band storage for solve_banded
+    full[width] = ab[0] - shift
+    for d in range(1, width + 1):
+        full[width + d, : n - d] = ab[d, : n - d]
+        full[width - d, d:] = ab[d, : n - d]
+    v = np.random.default_rng(0).standard_normal(n)
+    for _ in range(_INVERSE_STEPS):
+        v = solve_banded((width, width), full, v, check_finite=False)
+        v /= np.linalg.norm(v)
+    return v
+
+
+def _probe_band(alpha: float, ab: np.ndarray, descriptor: str) -> ProbeResult:
+    """Smallest eigenpair of a symmetric band matrix, never densified.
+
+    The eigenvalue comes from LAPACK's banded bisection without vectors
+    (with vectors it forms the full N x N band-reduction transform); the
+    eigenvector from inverse iteration at that eigenvalue.
+    """
+    w = eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(0, 0))
+    lam = float(w[0])
+    norm_scale = float(_band_matvec(np.abs(ab), np.ones(ab.shape[1])).max())  # row sums of |B|
+    # one rounding unit of the norm below lam: the solves stay nonsingular
+    # where lam is exact (N = 1, or a spectrum known in closed form)
+    v = _inverse_iteration(ab, lam - np.finfo(float).eps * (1.0 + norm_scale))
+    residual = float(np.linalg.norm(_band_matvec(ab, v) - lam * v))
+    return _result(alpha, ab.shape[1], descriptor, lam, residual, norm_scale)
+
+
+def _section_probe(
+    alpha: float, size: int, pot: green.Potential, descriptor: str, reflected: bool = False
+) -> ProbeResult:
+    """Smallest eigenpair of the size x size section of B - V.
+
+    B is A(alpha), or the reflected 4^alpha - A(alpha).  Integer powers are
+    banded (:func:`_band_width`): their sections are assembled and solved in
+    band storage and never densified.  Every other power is solved dense.
+    """
+    if _band_width(alpha) is not None:
+        ab = operators.assemble_band(alpha, size)
+        if reflected:
+            ab = -ab
+            ab[0] += 4.0**alpha
+        ab[0] -= pot.values(size)
+        return _probe_band(alpha, ab, descriptor)
+    assemble = operators.assemble_reflected if reflected else operators.assemble
+    mat = assemble(alpha, size).entries.copy()
+    mat[np.diag_indices(size)] -= pot.values(size)
+    return _probe_dense(alpha, mat, descriptor)
 
 
 def min_eig(alpha: float, size: int, pot: green.Potential) -> ProbeResult:
@@ -122,8 +183,7 @@ def min_eig(alpha: float, size: int, pot: green.Potential) -> ProbeResult:
         raise ValueError("alpha > 0 required")
     if size < 1:
         raise ValueError("size >= 1 required")
-    mat = operators.assemble(alpha, size).entries - np.diag(pot.values(size))
-    return _probe_from_matrix(alpha, mat, pot.describe(), _band_width(alpha))
+    return _section_probe(alpha, size, pot, pot.describe())
 
 
 def _series(alpha: float, pot: green.Potential, schedule) -> tuple[list[ProbeResult], ConvergenceSeries]:
@@ -271,23 +331,14 @@ def reflected_witness(
     reflected uniform resolvent bound; couplings below it keep the
     perturbed operator non-negative for every alpha > 0.
     """
-    if c < 0.0:
-        raise ValueError("coupling c >= 0 required")
+    pot = green.Potential.delta(site, c)  # validates site and coupling
     threshold = 1.0 / (green.reflected_bound_const(alpha) * site**2)
-    results = []
-    for n in schedule:
-        mat = operators.assemble_reflected(alpha, n).entries.copy()
-        if site <= n:
-            mat[site - 1, site - 1] -= c
-        results.append(
-            _probe_from_matrix(
-                alpha, mat, f"reflected_delta(site={site}, coeff={c:.17g})", _band_width(alpha)
-            )
-        )
+    descriptor = f"reflected_delta(site={site}, coeff={c:.17g})"
+    results = [_section_probe(alpha, n, pot, descriptor, reflected=True) for n in schedule]
     series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
     return ScanRecord(
         alpha=alpha,
-        potential=f"reflected_delta(site={site}, coeff={c:.17g})",
+        potential=descriptor,
         schedule=tuple(results),
         series=series,
         verdict=_witness_verdict(results, probe_tol(alpha)),
@@ -302,13 +353,16 @@ def kpp_witness(schedule=DEFAULT_SCHEDULE) -> ScanRecord:
     n = 10^6 and the asymptotic ratio on n in {10^3, 10^4, 10^5}.
     """
     pot = green.Potential.kpp()
+    hardy = green.Potential.classical_hardy()
     results, series = _series(1.0, pot, schedule)
     big = 1_000_000
-    v_kpp = pot.values(big)
-    v_h = green.Potential.classical_hardy().values(big)
-    dominates = bool(np.all(v_kpp > v_h))
-    idx = np.array([10**3, 10**4, 10**5]) - 1
-    ratios = (v_kpp[idx] / v_h[idx]).tolist()
+    chunks = (
+        np.arange(start, min(start + _KPP_CHUNK, big + 1), dtype=float)
+        for start in range(1, big + 1, _KPP_CHUNK)
+    )
+    dominates = all(bool(np.all(pot.at(n) > hardy.at(n))) for n in chunks)
+    n = np.array([10**3, 10**4, 10**5], dtype=float)
+    ratios = (pot.at(n) / hardy.at(n)).tolist()
     verdict = _witness_verdict(results, probe_tol(1.0))
     if not dominates:
         verdict = "negative"

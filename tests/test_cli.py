@@ -61,6 +61,48 @@ class TestDeterminism:
         assert first == second
 
 
+class TestRecordedOutputs:
+    """Printed eigenvalues, extrapolations and verdicts of a fixed command set.
+
+    The literals were printed at one BLAS thread by the earlier solver,
+    which took eigenvectors from eig_banded on a band copied out of a dense
+    section.  The band-storage path must print the same; only residuals may
+    differ.
+    """
+
+    def test_probe_min_eig(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "probe-min-eig", "--alpha", "2", "--N", "1000", "--potential", "delta:2:0.7"
+        )
+        assert code == 0
+        assert "min_eig -0.13446572259952053\n" in out
+        assert out.endswith("converged true\n")
+
+    def _record(self, capsys, *argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        rec = json.loads(out)
+        eigs = [r["min_eig"] for r in rec["schedule"]]
+        return eigs, rec["extrapolated"], rec["error_bar"], rec["verdict"]
+
+    def test_probe_kpp(self, capsys):
+        assert self._record(capsys, "probe-kpp", "--schedule", "125,250,500") == (
+            [0.0003642727703273008, 9.179517977025983e-05, 2.3040491890335968e-05],
+            -1.636105613061898e-07,
+            2.3891649330441397e-05,
+            "nonnegative",
+        )
+
+    def test_probe_critical(self, capsys):
+        argv = ("probe-critical", "--alpha", "2", "--c", "1", "--schedule", "50,100,200")
+        assert self._record(capsys, *argv) == (
+            [-0.05555555555555424, -0.0555555555555547, -0.0555555555555547],
+            -0.0555555555555547,
+            0.0,
+            "negative",
+        )
+
+
 class TestMatrixCommand:
     def test_csv_round_trip_full_precision(self, capsys, tmp_path):
         path = tmp_path / "mat.csv"
@@ -142,6 +184,13 @@ class TestExitCodes:
         )
         assert code == 1
         assert "bad potential spec" in err
+
+    def test_non_finite_coupling(self, capsys):
+        code, _, err = run_cli(
+            capsys, "probe-min-eig", "--alpha", "2", "--N", "50", "--potential", "delta:1:nan"
+        )
+        assert code == 1
+        assert "bad potential spec" in err and "finite" in err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -236,6 +236,29 @@ class TestPotentials:
         with pytest.raises(ValueError):
             Potential.power(-0.5, 2.0)
 
+    def test_finiteness_enforced(self):
+        # NaN slips past a plain "coeff < 0" test
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Potential.delta(1, bad)
+            with pytest.raises(ValueError, match="finite"):
+                Potential.power(bad, 2.0)
+            with pytest.raises(ValueError, match="finite"):
+                Potential.power(1.0, bad)
+            with pytest.raises(ValueError, match="finite"):
+                Potential.explicit([0.1, bad])
+
+    def test_values_at_sites_match_leading_values(self):
+        sites = np.arange(5.0, 9.0)
+        for pot in (
+            Potential.classical_hardy(),
+            Potential.kpp(),
+            Potential.power(0.3, 2.5),
+            Potential.delta(6, 0.7),
+            Potential.explicit([1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
+        ):
+            assert np.array_equal(pot.at(sites), pot.values(8)[4:])
+
 
 class TestAdmissibility:
     def test_threshold_at_first_power(self):

@@ -10,6 +10,7 @@ from fraclap.operators import (
     Exponent,
     UnsupportedExponentError,
     assemble,
+    assemble_band,
     assemble_reflected,
     entry,
     entry_oracle,
@@ -54,6 +55,23 @@ class TestIntegerPowers:
         product = np.linalg.matrix_power(first, power)[:size, :size]
         direct = assemble(float(power), size).entries
         assert np.max(np.abs(direct - product)) <= 1e-10
+
+    @pytest.mark.parametrize("power", [1, 2, 3, 4])
+    def test_band_storage_matches_dense_bit_for_bit(self, power):
+        for size in (1, 2, 3, 4, 5, 9, 40):
+            ab = assemble_band(float(power), size)
+            assert ab.shape == (min(power, size - 1) + 1, size)
+            dense = assemble(float(power), size).entries
+            for d in range(ab.shape[0]):
+                assert np.array_equal(ab[d, : size - d], np.diagonal(dense, -d))
+                assert not np.any(ab[d, size - d :])
+
+    def test_band_storage_needs_integer_power(self):
+        for bad in (1.5, -1.0):
+            with pytest.raises(UnsupportedExponentError):
+                assemble_band(bad, 10)
+        with pytest.raises(ValueError):
+            assemble_band(2.0, 0)
 
     def test_band_structure(self):
         mat = assemble(3.0, 20).entries

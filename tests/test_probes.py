@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fraclap import green, operators
+from fraclap import green, operators, probes
 from fraclap.bilaplacian import lambda_site1_closed
 from fraclap.probes import (
     ConvergenceSeries,
@@ -59,6 +61,54 @@ class TestMinEig:
             min_eig(0.0, 10, green.Potential.zero())
         with pytest.raises(ValueError):
             min_eig(1.0, 0, green.Potential.zero())
+
+
+class TestIntegerBandPath:
+    """Integer powers are solved in band storage, never as dense sections."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.sampled_from([1.0, 2.0, 3.0]),
+        size=st.one_of(st.integers(1, 5), st.integers(1, 400)),
+        site=st.integers(1, 5),
+        c=st.floats(0.0, 4.0),
+    )
+    def test_matches_dense_eigh(self, alpha, size, site, c):
+        pot = green.Potential.delta(site, c)
+        res = min_eig(alpha, size, pot)
+        dense = operators.assemble(alpha, size).entries - np.diag(pot.values(size))
+        exact = np.linalg.eigvalsh(dense)[0]
+        assert abs(res.min_eigenvalue - exact) <= 1e-12 * (1.0 + 4.0**alpha)
+        assert res.converged
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.sampled_from([1.0, 2.0]),
+        sizes=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+        site=st.integers(1, 5),
+        c=st.floats(0.0, 4.0),
+    )
+    def test_reflected_matches_dense_eigh(self, alpha, sizes, site, c):
+        rec = reflected_witness(alpha, c, site, schedule=tuple(sizes))
+        for n, res in zip(sizes, rec.schedule):
+            dense = operators.assemble_reflected(alpha, n).entries
+            dense = dense - np.diag(green.Potential.delta(site, c).values(n))
+            exact = np.linalg.eigvalsh(dense)[0]
+            assert abs(res.min_eigenvalue - exact) <= 1e-12 * (1.0 + 4.0**alpha)
+            assert res.converged
+
+    def test_never_dense(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense section on the integer-power path")
+
+        monkeypatch.setattr(operators, "assemble", refuse)
+        monkeypatch.setattr(operators, "assemble_reflected", refuse)
+        monkeypatch.setattr(probes, "eigh", refuse)
+        assert min_eig(2.0, 500, green.Potential.delta(2, 0.7)).converged
+        assert kpp_witness((50, 100)).verdict == "nonnegative"
+        rec = reflected_witness(2.0, 0.5, 1, (50, 100))
+        assert rec.verdict == "nonnegative"
+        assert all(r.converged for r in rec.schedule)
 
 
 class TestConvergenceSeries:
