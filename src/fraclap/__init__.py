@@ -52,7 +52,7 @@ from .probes import (
     reflected_witness,
     solve_bs_lambda,
 )
-from .quadrature import Integrand, QuadratureError, gauss_chebyshev2, integrate
+from .quadrature import QuadratureError
 
 __version__ = "0.1.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "AdmissibilityResult",
     "ConvergenceSeries",
     "Exponent",
-    "Integrand",
     "JoukowskiPair",
     "Potential",
     "ProbeResult",
@@ -79,10 +78,8 @@ __all__ = [
     "g_weight",
     "g_weight_bound",
     "g_weight_values",
-    "gauss_chebyshev2",
     "green_entry",
     "hardy_witness",
-    "integrate",
     "joukowski_pair",
     "kpp_witness",
     "lambda_asymptotic",

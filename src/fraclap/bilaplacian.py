@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special as sp
 from scipy.optimize import brentq
 
 from .special import chebyshev_u
@@ -62,6 +63,8 @@ def _pair_with_gaps(lam) -> tuple[complex, complex, complex, complex]:
     The gaps 1 - xi and 1 - eta are computed to full relative accuracy
     even when both parameters crowd the point z = 1 (lam -> 0).
     """
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam={lam} must be finite")
     lam = complex(lam)
     if lam.imag == 0.0 and 0.0 <= lam.real <= SPECTRUM_TOP:
         raise ValueError(f"lam={lam.real} lies in the essential spectrum [0, 16]")
@@ -78,40 +81,6 @@ def joukowski_pair(lam) -> JoukowskiPair:
     return JoukowskiPair(xi=xi, eta=eta)
 
 
-def _log1p(x: complex) -> complex:
-    """log(1 + x) for complex x, accurate for small |x|.
-
-    Uses log(1+x) = 2 atanh(x/(2+x)); the atanh series has no alternating
-    cancellation and converges quickly for |x| <= 1/2.
-    """
-    if abs(x) > 0.5:
-        return cmath.log(1.0 + x)
-    y = x / (2.0 + x)
-    y2 = y * y
-    term = y
-    acc = y
-    k = 3
-    while abs(term) > 1e-17 * abs(acc):
-        term *= y2
-        acc += term / k
-        k += 2
-    return 2.0 * acc
-
-
-def _expm1(x: complex) -> complex:
-    """exp(x) - 1 for complex x, accurate for small |x|."""
-    if abs(x) > 0.5:
-        return cmath.exp(x) - 1.0
-    term = x
-    acc = x
-    k = 2
-    while abs(term) > 1e-17 * abs(acc):
-        term *= x / k
-        acc += term
-        k += 1
-    return acc
-
-
 def _kernel_factor(z: complex, p: int, d: int, gap: complex | None = None) -> complex:
     """f(z) = (z^p - z^d) / (z - 1/z).
 
@@ -120,7 +89,7 @@ def _kernel_factor(z: complex, p: int, d: int, gap: complex | None = None) -> co
     the z^p - z^d cancellation.
     """
     if gap is not None and abs(gap) < 1e-2:
-        num = (1.0 - gap) ** d * _expm1((p - d) * _log1p(-gap))
+        num = (1.0 - gap) ** d * sp.expm1((p - d) * sp.log1p(-gap))
         den = -gap * (2.0 - gap) / (1.0 - gap)
         return num / den
     return (z**p - z**d) / (z - 1.0 / z)
@@ -198,10 +167,14 @@ def _lambda_from_s(s: float) -> float:
     return -(s**4) / ((1.0 - s) * (2.0 - s) ** 2)
 
 
+def _check_coupling(c: float) -> None:
+    if not (math.isfinite(c) and c > 0.0):
+        raise ValueError(f"coupling c must be finite and > 0, got {c!r}")
+
+
 def lambda_site1_closed(c: float) -> float:
     """Bound state for a coupling at site 1: -c^4 / ((c+1)(c+2)^2)."""
-    if c <= 0.0:
-        raise ValueError("coupling c > 0 required")
+    _check_coupling(c)
     return -(c**4) / ((c + 1.0) * (c + 2.0) ** 2)
 
 
@@ -214,8 +187,7 @@ def lambda_bound_state(site: int, c: float, tol: float = 1e-14) -> float:
     """
     if site < 1:
         raise ValueError("site >= 1 required")
-    if c <= 0.0:
-        raise ValueError("coupling c > 0 required")
+    _check_coupling(c)
 
     def f(s):
         return c * _coupling_inverse(s, site) - 1.0
@@ -239,8 +211,7 @@ def lambda_asymptotic(site: int, c: float, regime: str) -> float:
     """
     if site < 1:
         raise ValueError("site >= 1 required")
-    if c <= 0.0:
-        raise ValueError("coupling c > 0 required")
+    _check_coupling(c)
     if regime == "small_c":
         n = float(site)
         return -(n**8) * c**4 / 4.0 * (1.0 - 2.0 * n * (4.0 * n * n - 1.0) / 3.0 * c)

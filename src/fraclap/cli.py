@@ -1,8 +1,11 @@
 """Command-line front end.
 
 Every library operation is a subcommand with flag-only configuration, so
-each run is self-describing and byte-for-byte reproducible.  Exit codes:
-0 success, 1 validation error, 2 numerical non-convergence.
+each run is self-describing and, for a fixed BLAS thread count,
+byte-for-byte reproducible.  Dense eigen-solves and their residuals
+depend on the thread count: their printed eigenvalues, extrapolations and
+residuals differ in trailing digits between one and two OpenBLAS threads.
+Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 from . import bilaplacian, green, operators, probes, quadrature, selfcheck
 
-DEFAULT_SCHEDULE = "250,500,1000,2000,4000"
+DEFAULT_SCHEDULE = ",".join(map(str, probes.DEFAULT_SCHEDULE))
 
 
 class CliError(ValueError):

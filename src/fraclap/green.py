@@ -9,6 +9,7 @@ Hilbert-Schmidt certificate for form inequalities.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -175,6 +176,8 @@ def green_entry(alpha: float, m: int, n: int, lam, tol: float = 1e-12):
         raise ValueError("green_entry requires alpha > 0")
     if m < 1 or n < 1:
         raise ValueError("indices are 1-based: m, n >= 1")
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam={lam} must be finite")
     top = 4.0**alpha
     is_real = not isinstance(lam, complex)
     if is_real:
@@ -332,9 +335,6 @@ class Potential:
         out[inside] = data[n[inside].astype(int) - 1]
         return out
 
-    def value(self, n: int) -> float:
-        return float(self.values(n)[-1])
-
     def describe(self) -> str:
         if self.kind == "power":
             return f"power(coeff={self.coeff:.17g}, exponent={self.exponent:.17g})"
@@ -414,6 +414,8 @@ def _kpp_quadratic_coeff() -> float:
 
 def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, float]:
     """(partial sum, tail upper bound) of sum g_weight(alpha, n) V_n."""
+    if terms < 1:
+        raise ValueError(f"the series needs terms >= 1, got {terms}")
     if pot.kind == "delta":
         if pot.site > terms:
             terms = pot.site
@@ -484,8 +486,8 @@ def power_hardy_weight(alpha: float, epsilon: float) -> Potential:
     meets the budget with equality).
     """
     _check_subcritical_range(alpha)
-    if epsilon <= 0.0:
-        raise ValueError("epsilon > 0 required")
+    if not (epsilon > 0.0 and 1.0 + epsilon > 1.0):
+        raise ValueError(f"epsilon={epsilon!r} must be > 0 with 1 + epsilon > 1")
     p = max(1.0, 2.0 * alpha) + epsilon
     z, zp = zeta_and_derivative(1.0 + epsilon)
     thr = admissibility_threshold(alpha)

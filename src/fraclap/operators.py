@@ -14,7 +14,6 @@ are Toeplitz-minus-Hankel in (m-n, m+n), which the assembler exploits.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import IO
 
@@ -47,14 +46,6 @@ class Exponent:
             )
 
     @property
-    def subcritical_regime(self) -> bool:
-        return 0.0 < self.alpha < 1.5
-
-    @property
-    def critical_regime(self) -> bool:
-        return self.alpha >= 1.5
-
-    @property
     def special_negative(self) -> bool:
         return self.alpha in SPECIAL_NEGATIVE
 
@@ -62,7 +53,7 @@ class Exponent:
     def regime(self) -> str:
         if self.special_negative:
             return "special_negative"
-        return "critical" if self.critical_regime else "subcritical"
+        return "critical" if self.alpha >= 1.5 else "subcritical"
 
 
 @dataclass(frozen=True)
@@ -71,10 +62,18 @@ class TruncatedOperator:
 
     size: int
     entries: np.ndarray = field(repr=False)
-    provenance: str = "power_alpha"
 
     def __post_init__(self):
         self.entries.setflags(write=False)
+
+
+def is_banded(alpha: float) -> bool:
+    """Whether A(alpha) is banded: exactly the positive integer powers.
+
+    Their entries vanish beyond the alpha-th diagonal, so sections are
+    stored, assembled and solved as bands (:func:`assemble_band`).
+    """
+    return alpha > 0.0 and float(alpha).is_integer()
 
 
 def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
@@ -87,7 +86,7 @@ def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
     """
     k = np.asarray(k, dtype=float)
     out = np.empty_like(k)
-    if alpha > 0.0 and alpha == math.floor(alpha):
+    if is_banded(alpha):
         # integer power: plain binomials, exact in floats (no log round trip)
         a = int(alpha)
         for i, kf in enumerate(k.ravel()):
@@ -106,13 +105,9 @@ def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
     rest = ~direct
     if np.any(rest):
         kr = k[rest]
-        s = _sinpi(alpha)
-        if s == 0.0:  # integer alpha: binomial vanishes beyond the band
-            out[rest] = 0.0
-        else:
-            out[rest] = -(s / math.pi) * np.exp(
-                lg_top + sp.gammaln(kr - alpha) - sp.gammaln(alpha + kr + 1.0)
-            )
+        out[rest] = -(_sinpi(alpha) / math.pi) * np.exp(
+            lg_top + sp.gammaln(kr - alpha) - sp.gammaln(alpha + kr + 1.0)
+        )
     return out
 
 
@@ -163,7 +158,7 @@ def assemble(alpha: float | Exponent, size: int) -> TruncatedOperator:
     else:
         c = _signed_coeff(a, np.arange(0, 2 * size + 1))
         mat = toeplitz(c[:size]) - hankel(c[2 : size + 2], c[size + 1 : 2 * size + 1])
-    return TruncatedOperator(size=size, entries=mat, provenance="power_alpha")
+    return TruncatedOperator(size=size, entries=mat)
 
 
 def assemble_band(alpha: float | Exponent, size: int) -> np.ndarray:
@@ -178,7 +173,7 @@ def assemble_band(alpha: float | Exponent, size: int) -> np.ndarray:
     """
     exp_ = alpha if isinstance(alpha, Exponent) else Exponent(alpha)
     a = exp_.alpha
-    if not (a > 0.0 and a == math.floor(a)):
+    if not is_banded(a):
         raise UnsupportedExponentError("band storage needs a positive integer power")
     if size < 1:
         raise ValueError("size must be >= 1")
@@ -200,7 +195,7 @@ def assemble_reflected(alpha: float | Exponent, size: int) -> TruncatedOperator:
         raise UnsupportedExponentError("reflected operator needs alpha > 0")
     base = assemble(exp_, size)
     mat = 4.0**exp_.alpha * np.eye(size) - base.entries
-    return TruncatedOperator(size=size, entries=mat, provenance="reflected_4alpha_minus_power")
+    return TruncatedOperator(size=size, entries=mat)
 
 
 def entry_oracle(alpha: float, m: int, n: int, tol: float = 1e-12) -> float:
@@ -248,14 +243,3 @@ def load_matrix_csv(fh: IO[str]) -> np.ndarray:
     rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
     return np.array(rows)
 
-
-def save_matrix_binary(op: TruncatedOperator, fh: IO[bytes]) -> None:
-    """8-byte little-endian size header followed by row-major float64."""
-    fh.write(struct.pack("<Q", op.size))
-    fh.write(np.ascontiguousarray(op.entries, dtype="<f8").tobytes())
-
-
-def load_matrix_binary(fh: IO[bytes]) -> np.ndarray:
-    (size,) = struct.unpack("<Q", fh.read(8))
-    data = np.frombuffer(fh.read(8 * size * size), dtype="<f8")
-    return data.reshape(size, size).copy()

@@ -83,12 +83,6 @@ class ConvergenceSeries:
         return cls(pts, limit, abs(limit - e3) + 1e-2 * abs(d2), monotone)
 
 
-def _band_width(alpha: float) -> int | None:
-    if alpha > 0 and alpha == math.floor(alpha):
-        return int(alpha)
-    return None
-
-
 def _result(alpha, size, descriptor, lam, residual, norm_scale) -> ProbeResult:
     return ProbeResult(
         alpha=alpha,
@@ -160,11 +154,11 @@ def _section_probe(
 ) -> ProbeResult:
     """Smallest eigenpair of the size x size section of B - V.
 
-    B is A(alpha), or the reflected 4^alpha - A(alpha).  Integer powers are
-    banded (:func:`_band_width`): their sections are assembled and solved in
-    band storage and never densified.  Every other power is solved dense.
+    B is A(alpha), or the reflected 4^alpha - A(alpha).  Banded powers
+    (:func:`operators.is_banded`) are assembled and solved in band storage
+    and never densified.  Every other power is solved dense.
     """
-    if _band_width(alpha) is not None:
+    if operators.is_banded(alpha):
         ab = operators.assemble_band(alpha, size)
         if reflected:
             ab = -ab

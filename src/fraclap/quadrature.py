@@ -4,14 +4,12 @@ Every closed form in the package is cross-checked against integrals over
 (-1,1) with the semicircle weight sqrt(1-x^2).  The oracle substitutes
 x = cos(theta) and applies tanh-sinh (double exponential) quadrature with
 adaptive level refinement, which handles the algebraic endpoint factors
-uniformly.  A Gauss rule for the semicircle weight is provided as a fast
-path for regular integrands.
+uniformly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -23,30 +21,6 @@ _MAX_LEVEL = 14
 
 class QuadratureError(RuntimeError):
     """Raised when refinement fails to meet the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class Integrand:
-    """An integrand on (-1,1) with declared weight and endpoint behavior.
-
-    singularity_exponent is the algebraic order of f at x = 1 (0 for a
-    regular integrand); together with the weight's +1/2 it must exceed -1
-    for the integral to converge.
-    """
-
-    f: Callable[[np.ndarray], np.ndarray]
-    weight: str = "chebyshev2"
-    singularity_exponent: float = 0.0
-
-    def __post_init__(self):
-        if self.weight not in ("chebyshev2", "plain"):
-            raise ValueError(f"unknown weight tag {self.weight!r}")
-        extra = 0.5 if self.weight == "chebyshev2" else 0.0
-        if self.singularity_exponent + extra <= -1.0:
-            raise ValueError(
-                f"endpoint exponent {self.singularity_exponent} with weight "
-                f"{self.weight!r} is not integrable on (-1,1)"
-            )
 
 
 @lru_cache(maxsize=32)
@@ -111,42 +85,3 @@ def integrate_theta(
     """Integral of g(theta) over (0, pi); the angular-variable workhorse."""
     return _tanh_sinh(g, 0.0, math.pi, tol, rel)
 
-
-def integrate(ig: Integrand, tol: float = 1e-12) -> float:
-    """Integral of ig.f against its weight over (-1,1), to absolute tol.
-
-    Substitutes x = cos(theta) first; tanh-sinh then absorbs the endpoint
-    behavior.  Raises QuadratureError on non-convergence.
-    """
-    f = ig.f
-    power = 2 if ig.weight == "chebyshev2" else 1
-
-    def g(theta):
-        x = np.cos(theta)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = f(x) * np.sin(theta) ** power
-        # for theta below ~2e-8 the cosine rounds to exactly +/-1 and an
-        # endpoint-singular f returns inf there; the true contribution of
-        # that sliver is below tolerance for any integrable exponent that
-        # the node depth can resolve, so it is dropped
-        at_end = np.abs(x) == 1.0
-        if np.any(at_end):
-            vals = np.where(at_end, 0.0, vals)
-        return vals
-
-    return float(_tanh_sinh(g, 0.0, math.pi, tol))
-
-
-@lru_cache(maxsize=64)
-def _gauss_chebyshev2_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    k = np.arange(1, n + 1)
-    theta = k * math.pi / (n + 1)
-    return np.cos(theta), (math.pi / (n + 1)) * np.sin(theta) ** 2
-
-
-def gauss_chebyshev2(f: Callable[[np.ndarray], np.ndarray], nodes: int) -> float:
-    """Gauss rule for the weight sqrt(1-x^2): exact for deg <= 2*nodes-1."""
-    if nodes < 1:
-        raise ValueError("need at least one node")
-    x, w = _gauss_chebyshev2_rule(nodes)
-    return float(np.dot(w, f(x)))

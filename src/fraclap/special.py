@@ -1,9 +1,8 @@
 """Scalar special functions shared by all modules.
 
-log-Gamma, reciprocal Gamma (entire), digamma, Pochhammer symbols with
-sign/log bookkeeping, generalized binomial coefficients, Chebyshev
-polynomials of the second kind, and the Riemann zeta function with its
-first derivative.  All functions are pure.
+Pochhammer symbols with sign/log bookkeeping, Chebyshev polynomials of
+the second kind, and the Riemann zeta function with its first
+derivative.  All functions are pure.
 """
 
 from __future__ import annotations
@@ -12,13 +11,6 @@ import math
 
 import mpmath
 import numpy as np
-from scipy import special as sp
-
-EULER_GAMMA = 0.5772156649015328606
-
-
-def _is_nonpositive_int(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
 
 
 def _sinpi(x: float) -> float:
@@ -26,38 +18,6 @@ def _sinpi(x: float) -> float:
     r = x - round(x)
     s = math.sin(math.pi * r)
     return -s if round(x) % 2 else s
-
-
-def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}; use reciprocal_gamma for x <= 0")
-    return math.lgamma(x)
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), entire in x; exactly 0 at 0, -1, -2, ..."""
-    if _is_nonpositive_int(x):
-        return 0.0
-    return float(sp.rgamma(x))
-
-
-def digamma(x: float) -> float:
-    """psi(x) = Gamma'(x)/Gamma(x); poles at the non-positive integers."""
-    if _is_nonpositive_int(x):
-        raise ValueError(f"digamma pole at x = {x}")
-    return float(sp.psi(x))
-
-
-def signed_log_gamma(x: float) -> tuple[float, float]:
-    """(sign, ln|Gamma(x)|); sign is 0.0 at the poles (reciprocal vanishes)."""
-    if x > 0.0:
-        return 1.0, math.lgamma(x)
-    if _is_nonpositive_int(x):
-        return 0.0, math.inf
-    # reflection: Gamma(x) = pi / (sin(pi x) Gamma(1-x))
-    s = _sinpi(x)
-    return math.copysign(1.0, s), math.log(math.pi) - math.log(abs(s)) - math.lgamma(1.0 - x)
 
 
 def log_pochhammer(a: float, k: int) -> tuple[float, float]:
@@ -86,38 +46,6 @@ def log_pochhammer(a: float, k: int) -> tuple[float, float]:
     if m < k:
         log_abs += math.lgamma(a + k) - math.lgamma(a + m)
     return sign, log_abs
-
-
-def pochhammer(a: float, k: int) -> float:
-    """(a)_k = a(a+1)...(a+k-1), with (a)_0 = 1."""
-    sign, log_abs = log_pochhammer(a, k)
-    if sign == 0.0:
-        return 0.0
-    return sign * math.exp(log_abs)
-
-
-def gen_binomial(a: float, b: float) -> float:
-    """Generalized binomial Gamma(a+1) / (Gamma(b+1) Gamma(a-b+1)).
-
-    Evaluated through the entire reciprocal Gamma function, so the value
-    is 0 whenever b+1 or a-b+1 is a non-positive integer while a+1 is not.
-    """
-    s_num, l_num = signed_log_gamma(a + 1.0)
-    s_d1, l_d1 = signed_log_gamma(b + 1.0)
-    s_d2, l_d2 = signed_log_gamma(a - b + 1.0)
-    num_pole = s_num == 0.0
-    den_poles = (s_d1 == 0.0) + (s_d2 == 0.0)
-    if not num_pole:
-        if den_poles:
-            return 0.0
-        return s_num * s_d1 * s_d2 * math.exp(l_num - l_d1 - l_d2)
-    if den_poles == 0:
-        return math.inf
-    # pole against pole: take the symmetric limit in the upper argument
-    eps = 1e-7
-    lo = gen_binomial(a - eps, b)
-    hi = gen_binomial(a + eps, b)
-    return 0.5 * (lo + hi)
 
 
 def chebyshev_u(n: int, x):

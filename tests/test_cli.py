@@ -1,14 +1,17 @@
 """Command-line interface: outputs, exit codes, parsing, reproducibility."""
 
+import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fraclap
 from fraclap import green, operators
 from fraclap.cli import CliError, main, parse_grid, parse_potential, parse_schedule
 
@@ -103,6 +106,105 @@ class TestRecordedOutputs:
         )
 
 
+_SELFTEST_TABLE = """\
+entry_vs_oracle          PASS  worst=2.309e-14  tol=1.0e-09
+base_cases               PASS  worst=0.000e+00  tol=1.0e-10
+in_identity              PASS  worst=7.822e-11  tol=1.0e-09
+green_bounds             PASS  worst=0.000e+00  tol=1.0e-10  [C_1 error 0.000e+00]
+bilap_site1_closed       PASS  worst=3.375e-14  tol=1.0e-12
+bilap_birman_schwinger   PASS  worst=1.554e-15  tol=1.0e-09
+single_site_threshold    PASS  worst=0.000e+00  tol=0.0e+00  [c=1 -> admissible, c=1+1e-9 -> inconclusive]
+overall                  PASS
+"""
+
+#: stdout of a fixed command set, printed at one BLAS thread; residual
+#: columns are left out, since they only measure rounding
+_FIXED_OUTPUTS = [
+    (("entry", "--alpha", "1.5", "--m", "2", "--n", "3"), "-2.0405751851153489\n"),
+    (
+        ("gn", "--alpha", "0.75", "--n", "1:20:5"),
+        "1 3.200000000000002\n5 8.3576119730277583\n10 12.23211404740387\n"
+        "15 15.205612327266561\n20 17.712487186613139\n",
+    ),
+    # inside the extended-precision window around alpha = 1/2
+    (("in", "--alpha", "0.5000001", "--n", "7"), "3.2546575957623132\n"),
+    (
+        ("bounds", "--alpha", "1.25", "--m", "3", "--n", "4"),
+        "C_alpha 1.573787465354795\nrough 18.88544958425754\nrefined 9.7843957008793367\n",
+    ),
+    (("green", "--alpha", "0.75", "--m", "2", "--n", "5", "--lam", "-0.5"), "0.06621589929506945\n"),
+    (("bilap-green", "--m", "2", "--n", "3", "--lam=-1e-4"), "33.252463770292074\n"),
+    (("bilap-lambda", "--n", "3", "--c", "0.7"), "-0.1721679451393722\n"),
+    (
+        ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2"),
+        "decision admissible\npartial_sum 0.09277167836849938\n"
+        "tail_bound 0.00033600000000000009\nthreshold 3.708149354602746\n",
+    ),
+    (
+        ("probe-critical", "--alpha", "1.5", "--c", "0.05", "--schedule", "50,100,200", "--format", "csv"),
+        "alpha,potential,N,min_eig,extrapolated,error_bar,verdict\n"
+        '1.5,"delta(site=1, coeff=0.050000000000000003)",50,0.00031709563124791195,'
+        "-1.2849311429176635e-07,5.7166279697842794e-06,negative_beyond_resolution\n"
+        '1.5,"delta(site=1, coeff=0.050000000000000003)",100,4.1098523849497741e-05,'
+        "-1.2849311429176635e-07,5.7166279697842794e-06,negative_beyond_resolution\n"
+        '1.5,"delta(site=1, coeff=0.050000000000000003)",200,5.229444057573268e-06,'
+        "-1.2849311429176635e-07,5.7166279697842794e-06,negative_beyond_resolution\n",
+    ),
+    (("selftest",), _SELFTEST_TABLE),
+]
+
+
+def _without_residuals(text: str) -> str:
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or "residual" not in rows[0]:
+        return text
+    col = rows[0].index("residual")
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(r[:col] + r[col + 1 :] for r in rows)
+    return buf.getvalue()
+
+
+@pytest.fixture(scope="module")
+def one_thread_outputs():
+    """(exit code, stdout) of every fixed command, run in one child process
+    whose BLAS is pinned to one thread before numpy loads."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from fraclap.cli import main\n"
+        "outs = []\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    buf = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(buf):\n"
+        "        code = main(argv)\n"
+        "    outs.append((code, buf.getvalue()))\n"
+        "json.dump(outs, sys.stdout)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fraclap.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        input=json.dumps([list(argv) for argv, _ in _FIXED_OUTPUTS]),
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return dict(zip((argv for argv, _ in _FIXED_OUTPUTS), json.loads(proc.stdout)))
+
+
+class TestFixedCommandSet:
+    """Byte-identical stdout on the fixed command set, at one BLAS thread."""
+
+    @pytest.mark.parametrize(
+        "argv, expected", _FIXED_OUTPUTS, ids=[argv[0] for argv, _ in _FIXED_OUTPUTS]
+    )
+    def test_stdout_unchanged(self, one_thread_outputs, argv, expected):
+        code, out = one_thread_outputs[argv]
+        assert code == 0
+        assert _without_residuals(out) == expected
+
+
 class TestMatrixCommand:
     def test_csv_round_trip_full_precision(self, capsys, tmp_path):
         path = tmp_path / "mat.csv"
@@ -194,6 +296,29 @@ class TestExitCodes:
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bilap-lambda", "--n", "1", "--c", "nan"),
+            ("bilap-lambda", "--n", "1", "--c", "inf"),
+            ("bilap-lambda", "--n", "2", "--c", "inf"),
+            ("bilap-lambda", "--n", "2", "--method", "small_c", "--c", "inf"),
+            ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "nan"),
+            ("bilap-green", "--m", "1", "--n", "1", "--lam", "nan"),
+            ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "0"),
+            ("hardy-check", "--alpha", "1", "--potential", "classical_hardy", "--tail-terms", "0"),
+            ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "-5"),
+            ("hardy-weight", "--alpha", "0.75", "--epsilon", "1e-300"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_non_finite_and_out_of_range_inputs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_lambda_on_spectrum(self, capsys):
         code, _, err = run_cli(capsys, "bilap-green", "--m", "1", "--n", "1", "--lam", "4")

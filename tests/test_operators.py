@@ -14,9 +14,7 @@ from fraclap.operators import (
     assemble_reflected,
     entry,
     entry_oracle,
-    load_matrix_binary,
     load_matrix_csv,
-    save_matrix_binary,
     save_matrix_csv,
 )
 
@@ -183,14 +181,6 @@ class TestSerialization:
         save_matrix_csv(op, buf)
         buf.seek(0)
         back = load_matrix_csv(buf)
-        assert np.array_equal(back, op.entries)
-
-    def test_binary_round_trip(self):
-        op = assemble(0.5, 17)
-        buf = io.BytesIO()
-        save_matrix_binary(op, buf)
-        buf.seek(0)
-        back = load_matrix_binary(buf)
         assert np.array_equal(back, op.entries)
 
     def test_entries_read_only(self):

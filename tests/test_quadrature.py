@@ -5,13 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.quadrature import (
-    Integrand,
-    QuadratureError,
-    gauss_chebyshev2,
-    integrate,
-    integrate_theta,
-)
+from fraclap.quadrature import QuadratureError, integrate_theta
+from fraclap.special import chebyshev_u
 
 
 class TestIntegrateTheta:
@@ -45,42 +40,17 @@ class TestIntegrateTheta:
 
 
 class TestSemicircleWeight:
-    def test_total_mass(self):
-        ig = Integrand(f=lambda x: np.ones_like(x))
-        assert integrate(ig) == pytest.approx(math.pi / 2.0, abs=1e-13)
-
-    def test_second_moment(self):
-        ig = Integrand(f=lambda x: x**2)
-        assert integrate(ig) == pytest.approx(math.pi / 8.0, abs=1e-13)
-
     def test_chebyshev_orthonormality(self):
-        from fraclap.special import chebyshev_u
-
+        # int_{-1}^{1} U_m U_n sqrt(1-x^2) dx = (pi/2) delta_mn, with x = cos(theta)
         for m in range(6):
             for n in range(m, 6):
-                ig = Integrand(f=lambda x, m=m, n=n: chebyshev_u(m, x) * chebyshev_u(n, x))
-                val = integrate(ig)
+                val = integrate_theta(
+                    lambda t, m=m, n=n: chebyshev_u(m, np.cos(t))
+                    * chebyshev_u(n, np.cos(t))
+                    * np.sin(t) ** 2
+                )
                 expected = math.pi / 2.0 if m == n else 0.0
                 assert val == pytest.approx(expected, abs=1e-12)
-
-    def test_plain_weight(self):
-        ig = Integrand(f=lambda x: np.ones_like(x), weight="plain")
-        assert integrate(ig) == pytest.approx(2.0, abs=1e-13)
-
-    def test_algebraic_singularity(self):
-        # int_{-1}^{1} (1-x)^(-1/2) sqrt(1-x^2) dx = 4 sqrt(2) / 3
-        # (substitute x = cos(theta); the integrand becomes (4/sqrt 2) sin(t/2) cos^2(t/2))
-        ig = Integrand(f=lambda x: (1.0 - x) ** -0.5, singularity_exponent=-0.5)
-        val = integrate(ig)
-        assert val == pytest.approx(4.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
-
-    def test_rejects_nonintegrable(self):
-        with pytest.raises(ValueError):
-            Integrand(f=lambda x: x, singularity_exponent=-1.6)
-
-    def test_rejects_unknown_weight(self):
-        with pytest.raises(ValueError):
-            Integrand(f=lambda x: x, weight="legendre")
 
     def test_nonconvergence_raises(self):
         # a discontinuous oscillator at absurd tolerance cannot converge
@@ -94,21 +64,3 @@ class TestSemicircleWeight:
         with pytest.raises(QuadratureError):
             integrate_theta(f, tol=1e-15)
 
-
-class TestGaussRule:
-    def test_polynomial_exactness(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            deg = int(rng.integers(0, 21))
-            coeffs = rng.uniform(-2.0, 2.0, deg + 1)
-
-            def f(x, coeffs=coeffs):
-                return np.polyval(coeffs, x)
-
-            exact = integrate(Integrand(f=f), tol=1e-13)
-            gauss = gauss_chebyshev2(f, nodes=12)
-            assert gauss == pytest.approx(exact, rel=1e-11, abs=1e-11)
-
-    def test_node_count_validation(self):
-        with pytest.raises(ValueError):
-            gauss_chebyshev2(lambda x: x, nodes=0)

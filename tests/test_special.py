@@ -5,61 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.special import (
-    EULER_GAMMA,
-    chebyshev_u,
-    digamma,
-    gen_binomial,
-    log_gamma,
-    log_pochhammer,
-    pochhammer,
-    reciprocal_gamma,
-    signed_log_gamma,
-    zeta_and_derivative,
-)
+from fraclap.special import chebyshev_u, log_pochhammer, zeta_and_derivative
 
 
-class TestGammaFamily:
-    def test_log_gamma_known_values(self):
-        assert log_gamma(1.0) == 0.0
-        assert log_gamma(2.0) == 0.0
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
-
-    def test_log_gamma_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
-
-    def test_reciprocal_gamma_entire(self):
-        assert reciprocal_gamma(0.0) == 0.0
-        assert reciprocal_gamma(-7.0) == 0.0
-        assert reciprocal_gamma(1.0) == pytest.approx(1.0, rel=1e-15)
-        assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
-
-    def test_reflection_formula(self):
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x) away from integers
-        for x in (0.3, -0.7, 2.6, -4.2):
-            s1, l1 = signed_log_gamma(x)
-            s2, l2 = signed_log_gamma(1.0 - x)
-            product = s1 * s2 * math.exp(l1 + l2)
-            assert product == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-12)
-
-    def test_digamma_values(self):
-        assert digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-13)
-        assert digamma(0.5) == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), rel=1e-13)
-        assert digamma(2.0) == pytest.approx(1.0 - EULER_GAMMA, rel=1e-13)
-
-    def test_digamma_recurrence(self):
-        for x in (0.25, 1.7, 3.3):
-            assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-12)
-
-    def test_digamma_pole(self):
-        with pytest.raises(ValueError):
-            digamma(0.0)
-        with pytest.raises(ValueError):
-            digamma(-3.0)
+def pochhammer(a: float, k: int) -> float:
+    """(a)_k rebuilt from log_pochhammer's sign and log magnitude."""
+    sign, log_abs = log_pochhammer(a, k)
+    return sign * math.exp(log_abs)
 
 
 class TestPochhammer:
@@ -96,26 +48,6 @@ class TestPochhammer:
         sign, log_abs = log_pochhammer(-0.25, 1_000_000)
         assert sign == -1.0
         assert math.isfinite(log_abs)
-
-
-class TestGenBinomial:
-    def test_integer_values(self):
-        assert gen_binomial(4.0, 2.0) == pytest.approx(6.0, rel=1e-13)
-        assert gen_binomial(6.0, 0.0) == pytest.approx(1.0, rel=1e-13)
-
-    def test_vanishing_outside_band(self):
-        # integer upper argument, lower argument beyond it
-        assert gen_binomial(4.0, 5.0) == 0.0
-        assert gen_binomial(2.0, -1.0) == 0.0
-
-    def test_half_integer(self):
-        # C(1, 3/2) = Gamma(2)/(Gamma(5/2)Gamma(1/2))
-        expected = 1.0 / (math.gamma(2.5) * math.gamma(0.5))
-        assert gen_binomial(1.0, 1.5) == pytest.approx(expected, rel=1e-13)
-
-    def test_symmetry(self):
-        for a, b in ((2.8, 0.9), (5.5, 2.0), (1.2, -0.4)):
-            assert gen_binomial(a, b) == pytest.approx(gen_binomial(a, a - b), rel=1e-12)
 
 
 class TestChebyshevU:
