@@ -18,7 +18,6 @@ from .green import (
     AdmissibilityResult,
     Potential,
     admissibility_threshold,
-    bs_hs_bound,
     g_weight,
     g_weight_bound,
     g_weight_values,
@@ -71,7 +70,6 @@ __all__ = [
     "assemble",
     "assemble_reflected",
     "bilap_green_entry",
-    "bs_hs_bound",
     "criticality_scan",
     "entry",
     "entry_oracle",

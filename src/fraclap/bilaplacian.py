@@ -17,8 +17,6 @@ import numpy as np
 from scipy import special as sp
 from scipy.optimize import brentq
 
-from .special import chebyshev_u
-
 #: the essential spectrum of the squared operator
 SPECTRUM_TOP = 16.0
 
@@ -151,16 +149,28 @@ def _coupling_inverse(s: float, site: int) -> float:
     """1/c as a function of s = 1 - r^2 along the bound-state curve.
 
     Equals ((1-s)/s) * sum_{j=0}^{site-1} (1-s)^j U_{2j}(2 sqrt(1-s)/(2-s)),
-    strictly decreasing from +inf (s -> 0) to 0 (s -> 1).
+    strictly decreasing from +inf (s -> 0) to 0 (s -> 1).  The Chebyshev
+    argument x = cos(theta) lies in (0, 1], since (2-s)^2 - 4(1-s) = s^2.
+    U_{2j}(x) = sin((2j+1) theta)/sin(theta) loses all relative accuracy
+    where sin(theta) < 1e-6; the three-term recurrence takes over there.
     """
     r2 = 1.0 - s
     x = 2.0 * math.sqrt(r2) / (2.0 - s)
+    theta = np.arccos(x)
+    sin_theta = np.sin(theta)
+    if sin_theta >= 1e-6:
+        u_even = (np.sin((2 * j + 1) * theta) / sin_theta for j in range(site))
+    else:
+        u = [1.0, 2.0 * x]
+        for _ in range(2 * site - 2):
+            u.append(2.0 * x * u[-1] - u[-2])
+        u_even = u[::2]
     acc = 0.0
     w = 1.0
-    for j in range(site):
-        acc += w * chebyshev_u(2 * j, x)
+    for u_2j in u_even:
+        acc += w * u_2j
         w *= r2
-    return r2 / s * acc
+    return float(r2 / s * acc)
 
 
 def _lambda_from_s(s: float) -> float:

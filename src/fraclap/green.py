@@ -3,8 +3,7 @@
 Covers the resolvent entries of the fractional operator, the rough and
 refined uniform bounds valid for 0 < alpha < 3/2, the weight sequence
 g_weight that drives both the refined bound and the sufficient
-admissibility condition, explicit power-law Hardy weights, and the
-Hilbert-Schmidt certificate for form inequalities.
+admissibility condition, and explicit power-law Hardy weights.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ import mpmath
 import numpy as np
 from scipy import special as sp
 
-from . import quadrature
-from .special import log_pochhammer, zeta_and_derivative
+from . import operators, quadrature
 
 #: half-width of the interval around alpha = 1/2 and alpha = 1 inside which
 #: the generic formula for g_weight is evaluated in extended precision (the
@@ -68,9 +66,19 @@ def g_weight(alpha: float, n: int) -> float:
             a = mpmath.mpf(alpha)
             ratio = mpmath.rf(a, 2 * n) / mpmath.rf(1 - a, 2 * n)
             return float((1 - ratio) * mpmath.tan(mpmath.pi * a))
-    s_num, l_num = log_pochhammer(alpha, 2 * n)
-    s_den, l_den = log_pochhammer(1.0 - alpha, 2 * n)
-    ratio = s_num * s_den * math.exp(l_num - l_den)
+    # ln of the Pochhammer symbols (alpha)_k and |(a)_k|, k = 2n, a = 1 - alpha
+    k = 2 * n
+    l_num = math.lgamma(alpha + k) - math.lgamma(alpha)
+    a = 1.0 - alpha
+    if a > 0.0:
+        sign = 1.0
+        l_den = math.lgamma(a + k) - math.lgamma(a)
+    else:
+        # a in (-1/2, 0): only the first factor is negative, |a| = Gamma(1-a)/Gamma(-a)
+        sign = -1.0
+        l_den = math.lgamma(1.0 - a) - math.lgamma(1.0 - a - 1)
+        l_den += math.lgamma(a + k) - math.lgamma(a + 1)
+    ratio = sign * math.exp(l_num - l_den)
     return (1.0 - ratio) * _tanpi(alpha)
 
 
@@ -172,8 +180,7 @@ def green_entry(alpha: float, m: int, n: int, lam, tol: float = 1e-12):
     lam may be any real number outside [0, 4^alpha] or a complex number off
     that segment.  Returns a float for real lam, complex otherwise.
     """
-    if alpha <= 0.0:
-        raise ValueError("green_entry requires alpha > 0")
+    operators.check_positive_power(alpha)
     if m < 1 or n < 1:
         raise ValueError("indices are 1-based: m, n >= 1")
     if not cmath.isfinite(lam):
@@ -257,8 +264,7 @@ def reflected_bound_const(alpha: float) -> float:
     cancellation 4^alpha - (4 cos^2(phi/2))^alpha is evaluated through
     expm1/log1p at full accuracy.
     """
-    if alpha <= 0.0:
-        raise ValueError("alpha > 0 required")
+    operators.check_positive_power(alpha)
     top = 4.0**alpha
 
     def g(phi):
@@ -374,6 +380,16 @@ def admissibility_threshold(alpha: float) -> float:
     return 2.0 * math.pi * math.exp(math.lgamma(2.0 * alpha) - 2.0 * math.lgamma(alpha))
 
 
+def zeta_and_derivative(s: float) -> tuple[float, float]:
+    """(zeta(s), zeta'(s)) for s > 1."""
+    if s <= 1.0:
+        raise ValueError(f"zeta_and_derivative requires s > 1, got {s}")
+    with mpmath.workdps(30):
+        z = mpmath.zeta(s)
+        zp = mpmath.zeta(s, derivative=1)
+    return float(z), float(zp)
+
+
 def _power_tail_bound(alpha: float, coeff: float, p: float, start: int) -> float:
     """Upper bound on sum_{n > start} g_weight(alpha, n) * coeff / n^p.
 
@@ -464,17 +480,6 @@ def theorem2_check(alpha: float, pot: Potential, tail_terms: int = 100_000) -> A
         tail_bound=tail,
         threshold=thr,
     )
-
-
-def bs_hs_bound(alpha: float, pot: Potential, terms: int = 100_000) -> float:
-    """Hilbert-Schmidt certificate (1/2pi)(Gamma(a)^2/Gamma(2a)) sum V_n g_n.
-
-    Values < 1 certify the form inequality A(alpha) >= V; may be inf when
-    no tail bound is available or the majorized series diverges.
-    """
-    _check_subcritical_range(alpha)
-    partial, tail = _series_parts(alpha, pot, terms)
-    return _gamma_ratio(alpha) / (2.0 * math.pi) * (partial + tail)
 
 
 def power_hardy_weight(alpha: float, epsilon: float) -> Potential:

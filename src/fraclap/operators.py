@@ -22,7 +22,6 @@ from scipy import special as sp
 from scipy.linalg import hankel, toeplitz
 
 from . import quadrature
-from .special import _sinpi
 
 SPECIAL_NEGATIVE = (-0.5, -1.0)
 
@@ -39,9 +38,9 @@ class Exponent:
 
     def __post_init__(self):
         a = self.alpha
-        if not (a > 0.0 or a in SPECIAL_NEGATIVE):
+        if not ((math.isfinite(a) and a > 0.0) or a in SPECIAL_NEGATIVE):
             raise UnsupportedExponentError(
-                f"alpha={a}: only positive powers and the special values "
+                f"alpha={a}: only finite positive powers and the special values "
                 f"-1/2 and -1 are supported"
             )
 
@@ -67,6 +66,12 @@ class TruncatedOperator:
         self.entries.setflags(write=False)
 
 
+def check_positive_power(alpha: float) -> None:
+    """Reject alpha unless it is a finite positive power."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise UnsupportedExponentError(f"alpha={alpha!r} must be finite and > 0")
+
+
 def is_banded(alpha: float) -> bool:
     """Whether A(alpha) is banded: exactly the positive integer powers.
 
@@ -74,6 +79,13 @@ def is_banded(alpha: float) -> bool:
     stored, assembled and solved as bands (:func:`assemble_band`).
     """
     return alpha > 0.0 and float(alpha).is_integer()
+
+
+def _sinpi(x: float) -> float:
+    """sin(pi*x) with argument reduction (accurate for large |x|)."""
+    r = x - round(x)
+    s = math.sin(math.pi * r)
+    return -s if round(x) % 2 else s
 
 
 def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
@@ -191,8 +203,7 @@ def assemble_band(alpha: float | Exponent, size: int) -> np.ndarray:
 def assemble_reflected(alpha: float | Exponent, size: int) -> TruncatedOperator:
     """Section of 4^alpha * I - A(alpha); requires a positive power."""
     exp_ = alpha if isinstance(alpha, Exponent) else Exponent(alpha)
-    if exp_.alpha <= 0.0:
-        raise UnsupportedExponentError("reflected operator needs alpha > 0")
+    check_positive_power(exp_.alpha)
     base = assemble(exp_, size)
     mat = 4.0**exp_.alpha * np.eye(size) - base.entries
     return TruncatedOperator(size=size, entries=mat)
@@ -237,9 +248,3 @@ def save_matrix_csv(op: TruncatedOperator, fh: IO[str]) -> None:
     for row in op.entries:
         fh.write(",".join(f"{v:.17g}" for v in row))
         fh.write("\n")
-
-
-def load_matrix_csv(fh: IO[str]) -> np.ndarray:
-    rows = [[float(v) for v in line.split(",")] for line in fh if line.strip()]
-    return np.array(rows)
-

@@ -173,8 +173,7 @@ def _section_probe(
 
 def min_eig(alpha: float, size: int, pot: green.Potential) -> ProbeResult:
     """Smallest eigenvalue of the size x size section of A(alpha) - V."""
-    if alpha <= 0.0:
-        raise ValueError("alpha > 0 required")
+    operators.check_positive_power(alpha)
     if size < 1:
         raise ValueError("size >= 1 required")
     return _section_probe(alpha, size, pot, pot.describe())
@@ -208,6 +207,7 @@ def solve_bs_lambda(alpha: float, site: int, c: float) -> float | None:
     1e-300; returns None when no solution exists in that range (the
     perturbed operator stays non-negative, or the eigenvalue underflows).
     """
+    operators.check_positive_power(alpha)
     if c <= 0.0:
         raise ValueError("coupling c > 0 required")
 

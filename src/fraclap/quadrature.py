@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-_U_MAX = 5.4  # trapezoid cutoff; endpoint distances stay above ~1e-150*(b-a)
+_U_MAX = 5.4  # trapezoid cutoff; endpoint distances stay above ~1e-150*pi
 _MAX_LEVEL = 14
 
 
@@ -43,30 +43,31 @@ def _level_nodes(level: int) -> tuple[np.ndarray, np.ndarray]:
     return q, c
 
 
-def _tanh_sinh(
-    g: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float, rel: float = 0.0
+def integrate_theta(
+    g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12, rel: float = 0.0
 ):
-    """Integrate g over (a,b) by adaptive tanh-sinh refinement.
+    """Integral of g(theta) over (0, pi) by adaptive tanh-sinh refinement.
 
     g must accept numpy arrays; complex values are allowed.  Endpoints are
     never evaluated.  Convergence requires the level-to-level change to
-    drop below tol/2 + rel*|estimate|/2 (rel defaults to 0: absolute).
+    drop below tol/2 + rel*|estimate|/2 (rel defaults to 0: absolute), so
+    tol must be finite and > 0, and rel finite and >= 0.
     """
-    span = b - a
+    if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(rel) and rel >= 0.0):
+        raise ValueError(
+            f"quadrature needs finite tol > 0 and rel >= 0, got tol={tol!r}, rel={rel!r}"
+        )
     total = 0.0
     prev = None
     for level in range(_MAX_LEVEL + 1):
         q, c = _level_nodes(level)
         if level == 0:
             # k = 0 node sits at the midpoint; treat it separately
-            mid = a + 0.5 * span
-            total = c[0] * np.sum(g(np.array([mid])))
+            total = c[0] * np.sum(g(np.array([0.5 * math.pi])))
             q, c = q[1:], c[1:]
-        x_hi = b - span * q
-        x_lo = a + span * q
-        total = total + np.dot(c, g(x_hi)) + np.dot(c, g(x_lo))
+        total = total + np.dot(c, g(math.pi - math.pi * q)) + np.dot(c, g(math.pi * q))
         h = 1.0 / 2**level
-        estimate = 0.5 * span * h * total
+        estimate = 0.5 * math.pi * h * total
         if (
             prev is not None
             and level >= 4
@@ -77,11 +78,3 @@ def _tanh_sinh(
     raise QuadratureError(
         f"tanh-sinh failed to reach tol={tol} within {_MAX_LEVEL} levels"
     )
-
-
-def integrate_theta(
-    g: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12, rel: float = 0.0
-):
-    """Integral of g(theta) over (0, pi); the angular-variable workhorse."""
-    return _tanh_sinh(g, 0.0, math.pi, tol, rel)
-

@@ -3,11 +3,13 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from fraclap import green as green_mod
 from fraclap.bilaplacian import (
+    _coupling_inverse,
     green_entry,
     joukowski_pair,
     lambda_asymptotic,
@@ -131,12 +133,25 @@ class TestBoundState:
     def test_uniqueness_sign_change(self):
         # the coupling curve 1/c(s) is strictly decreasing: exactly one
         # crossing for any positive coupling
-        from fraclap.bilaplacian import _coupling_inverse
-
         for site in (1, 3, 5):
             s = np.linspace(1e-6, 1.0 - 1e-6, 500)
             vals = np.array([_coupling_inverse(v, site) for v in s])
             assert np.all(np.diff(vals) < 0.0)
+
+    @pytest.mark.parametrize("s", [1e-12, 1e-7, 1e-3, 0.5])
+    def test_coupling_inverse_against_chebyu(self, s):
+        # r2/s * sum_j r2^j U_2j(x) at the same double x and r2, in 30 digits;
+        # s <= 1e-7 puts sin(arccos x) below 1e-6, where the recurrence runs
+        r2 = 1.0 - s
+        x = 2.0 * math.sqrt(r2) / (2.0 - s)
+        assert (math.sin(math.acos(x)) < 1e-6) == (s <= 1e-7)
+        with mpmath.workdps(30):
+            for site in range(1, 13):
+                acc = mpmath.fsum(
+                    mpmath.mpf(r2) ** j * mpmath.chebyu(2 * j, mpmath.mpf(x)) for j in range(site)
+                )
+                exact = float(mpmath.mpf(r2) / mpmath.mpf(s) * acc)
+                assert _coupling_inverse(s, site) == pytest.approx(exact, rel=1e-12)
 
     def test_tiny_coupling_underflow_safe(self):
         # the eigenvalue scales like c^4 and stays accurate deep underflow-free

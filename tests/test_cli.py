@@ -135,6 +135,8 @@ _FIXED_OUTPUTS = [
     (("green", "--alpha", "0.75", "--m", "2", "--n", "5", "--lam", "-0.5"), "0.06621589929506945\n"),
     (("bilap-green", "--m", "2", "--n", "3", "--lam=-1e-4"), "33.252463770292074\n"),
     (("bilap-lambda", "--n", "3", "--c", "0.7"), "-0.1721679451393722\n"),
+    # root s ~ 1.6e-8, where the Chebyshev sum runs its recurrence branch
+    (("bilap-lambda", "--n", "4", "--c", "1e-9"), "-1.6383997247488261e-32\n"),
     (
         ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2"),
         "decision admissible\npartial_sum 0.09277167836849938\n"
@@ -193,12 +195,20 @@ def one_thread_outputs():
     return dict(zip((argv for argv, _ in _FIXED_OUTPUTS), json.loads(proc.stdout)))
 
 
+def _fixed_ids() -> list[str]:
+    """The subcommand of each fixed command, numbered from its second use
+    on, so that a command added later leaves the earlier ids as they were."""
+    names = [argv[0] for argv, _ in _FIXED_OUTPUTS]
+    return [
+        name if name not in names[:i] else f"{name}-{names[:i].count(name) + 1}"
+        for i, name in enumerate(names)
+    ]
+
+
 class TestFixedCommandSet:
     """Byte-identical stdout on the fixed command set, at one BLAS thread."""
 
-    @pytest.mark.parametrize(
-        "argv, expected", _FIXED_OUTPUTS, ids=[argv[0] for argv, _ in _FIXED_OUTPUTS]
-    )
+    @pytest.mark.parametrize("argv, expected", _FIXED_OUTPUTS, ids=_fixed_ids())
     def test_stdout_unchanged(self, one_thread_outputs, argv, expected):
         code, out = one_thread_outputs[argv]
         assert code == 0
@@ -215,7 +225,7 @@ class TestMatrixCommand:
         assert code == 0
         assert out == ""  # routed to the file
         with open(path) as fh:
-            loaded = operators.load_matrix_csv(fh)
+            loaded = np.loadtxt(fh, delimiter=",", ndmin=2)
         expected = operators.assemble(0.75, 6).entries
         assert np.array_equal(loaded, expected)
 
@@ -310,6 +320,17 @@ class TestExitCodes:
             ("hardy-check", "--alpha", "1", "--potential", "classical_hardy", "--tail-terms", "0"),
             ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "-5"),
             ("hardy-weight", "--alpha", "0.75", "--epsilon", "1e-300"),
+            ("entry", "--alpha", "inf", "--m", "1", "--n", "1"),
+            ("matrix", "--alpha", "inf", "--N", "3"),
+            ("green", "--alpha", "inf", "--m", "1", "--n", "1", "--lam", "-1"),
+            ("green", "--alpha", "nan", "--m", "1", "--n", "1", "--lam", "-1"),
+            ("probe-reflected", "--alpha", "inf", "--c", "1", "--schedule", "5"),
+            ("probe-reflected", "--alpha", "nan", "--c", "1", "--schedule", "5"),
+            ("probe-min-eig", "--alpha", "inf", "--N", "5"),
+            ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1", "--tol", "0"),
+            ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1", "--tol", "nan"),
+            ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1", "--tol", "-1"),
+            ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1", "--tol", "inf"),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -9,7 +9,6 @@ from fraclap import operators
 from fraclap.green import (
     Potential,
     admissibility_threshold,
-    bs_hs_bound,
     g_weight,
     g_weight_bound,
     g_weight_values,
@@ -22,6 +21,7 @@ from fraclap.green import (
     uniform_bound_rough,
     weighted_sq_integral,
     weighted_sq_integral_quad,
+    zeta_and_derivative,
 )
 
 
@@ -39,6 +39,16 @@ class TestWeightSequence:
     def test_quarter_power_value(self):
         # hand evaluation of the factorial-ratio formula
         assert g_weight(0.25, 1) == pytest.approx(16.0 / 21.0, rel=1e-13)
+
+    def test_matches_direct_product(self):
+        # (1 - (a)_{2n}/(1-a)_{2n}) tan(pi a) from the factors themselves; for
+        # a > 1 the first factor of (1-a)_{2n} is the only negative one
+        rng = np.random.default_rng(7)
+        for alpha in rng.uniform(0.01, 1.49, 50):
+            for n in (1, 2, 6):
+                ratio = math.prod((alpha + j) / (1.0 - alpha + j) for j in range(2 * n))
+                direct = (1.0 - ratio) * math.tan(math.pi * alpha)
+                assert g_weight(float(alpha), n) == pytest.approx(direct, rel=1e-10)
 
     def test_removable_window_continuity(self):
         # generic formula just outside the window ~ limit formula inside
@@ -61,6 +71,8 @@ class TestWeightSequence:
         for alpha in (0.1, 0.5, 0.9, 1.0, 1.1, 1.45):
             assert g_weight(alpha, 1) > 0.0
             assert g_weight(alpha, 100) > 0.0
+            # factorial ratios of length 10^6 stay in log space: no overflow
+            assert 0.0 < g_weight(alpha, 500_000) < math.inf
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -311,16 +323,62 @@ class TestAdmissibility:
 
 
 class TestHilbertSchmidtBound:
+    """(partial + tail)/threshold, the Hilbert-Schmidt norm bound of the
+    Birman-Schwinger operator; values <= 1 certify A(alpha) >= V."""
+
+    @staticmethod
+    def _ratio(alpha, pot):
+        res = theorem2_check(alpha, pot)
+        return res.total / res.threshold
+
     def test_zero(self):
-        assert bs_hs_bound(1.0, Potential.zero()) == 0.0
+        assert self._ratio(1.0, Potential.zero()) == 0.0
 
     def test_single_site_value(self):
-        assert bs_hs_bound(1.0, Potential.delta(1, 0.5)) == pytest.approx(0.5, rel=1e-12)
+        assert self._ratio(1.0, Potential.delta(1, 0.5)) == pytest.approx(0.5, rel=1e-12)
 
     def test_divergent_series_reported_inf(self):
         # classical Hardy at the first power: sum (2 pi n)/(4 n^2) diverges
-        assert math.isinf(bs_hs_bound(1.0, Potential.classical_hardy()))
+        assert math.isinf(self._ratio(1.0, Potential.classical_hardy()))
 
     def test_certificate_below_one(self):
-        val = bs_hs_bound(1.0, power_hardy_weight(1.0, 1.0))
+        val = self._ratio(1.0, power_hardy_weight(1.0, 1.0))
         assert val <= 1.0 + 1e-12
+
+
+def _zeta_oracle(s: float, terms: int = 2000):
+    """Euler-Maclaurin zeta and derivative, independent of the library path."""
+    ns = np.arange(1, terms, dtype=float)
+    logs = np.log(ns)
+    head = float(np.sum(ns**-s))
+    head_d = float(-np.sum(logs * ns**-s))
+    n = float(terms)
+    ln = math.log(n)
+    z = head + n ** (1 - s) / (s - 1) + 0.5 * n**-s + s * n ** (-s - 1) / 12.0
+    zd = (
+        head_d
+        - ln * n ** (1 - s) / (s - 1)
+        - n ** (1 - s) / (s - 1) ** 2
+        - 0.5 * ln * n**-s
+        + (1.0 - s * ln) * n ** (-s - 1) / 12.0
+    )
+    return z, zd
+
+
+class TestZeta:
+    def test_known_value(self):
+        z, _ = zeta_and_derivative(2.0)
+        assert z == pytest.approx(math.pi**2 / 6.0, rel=1e-13)
+
+    def test_against_euler_maclaurin(self):
+        for s in (1.5, 2.0, 3.0, 4.5):
+            z, zd = zeta_and_derivative(s)
+            oz, ozd = _zeta_oracle(s)
+            assert z == pytest.approx(oz, rel=1e-10)
+            assert zd == pytest.approx(ozd, rel=1e-8)
+
+    def test_domain(self):
+        with pytest.raises(ValueError):
+            zeta_and_derivative(1.0)
+        with pytest.raises(ValueError):
+            zeta_and_derivative(0.5)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from fraclap.quadrature import QuadratureError, integrate_theta
-from fraclap.special import chebyshev_u
 
 
 class TestIntegrateTheta:
@@ -42,12 +41,13 @@ class TestIntegrateTheta:
 class TestSemicircleWeight:
     def test_chebyshev_orthonormality(self):
         # int_{-1}^{1} U_m U_n sqrt(1-x^2) dx = (pi/2) delta_mn, with x = cos(theta)
+        def chebyshev_u(n, theta):
+            return np.sin((n + 1) * theta) / np.sin(theta)  # U_n(cos theta)
+
         for m in range(6):
             for n in range(m, 6):
                 val = integrate_theta(
-                    lambda t, m=m, n=n: chebyshev_u(m, np.cos(t))
-                    * chebyshev_u(n, np.cos(t))
-                    * np.sin(t) ** 2
+                    lambda t, m=m, n=n: chebyshev_u(m, t) * chebyshev_u(n, t) * np.sin(t) ** 2
                 )
                 expected = math.pi / 2.0 if m == n else 0.0
                 assert val == pytest.approx(expected, abs=1e-12)
@@ -63,4 +63,10 @@ class TestSemicircleWeight:
 
         with pytest.raises(QuadratureError):
             integrate_theta(f, tol=1e-15)
+
+    @pytest.mark.parametrize("rel", [-1.0, math.nan, math.inf])
+    def test_rejects_bad_relative_tolerance(self, rel):
+        # bad absolute tolerances are covered through the CLI's --tol
+        with pytest.raises(ValueError, match="rel"):
+            integrate_theta(np.sin, tol=1e-12, rel=rel)
 
