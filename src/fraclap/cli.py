@@ -286,109 +286,168 @@ def _cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+_ALPHA = ("--alpha", dict(type=float, required=True))
+_M = ("--m", dict(type=int, required=True))
+_N = ("--n", dict(type=int, required=True))
+_SIZE = ("--N", dict(type=int, required=True))
+_N_GRID = ("--n", dict(required=True, help="index or grid spec"))
+_LAM = ("--lam", dict(required=True))
+_SCHEDULE = ("--schedule", dict(default=DEFAULT_SCHEDULE))
+_METHODS = ("auto", "closed", "implicit", "small_c", "large_c")
+
+#: name -> (handler, help, (flag, add_argument keywords) after the common flags)
+_COMMANDS = {
+    "entry": (_cmd_entry, "matrix entry of a power of the Laplacian", (_ALPHA, _M, _N)),
+    "matrix": (_cmd_matrix, "finite section of a power", (_ALPHA, _SIZE)),
+    "green": (
+        _cmd_green,
+        "resolvent entry by quadrature",
+        (_ALPHA, _M, _N, _LAM, ("--tol", dict(type=float, default=1e-12))),
+    ),
+    "gn": (_cmd_gn, "weight sequence value(s)", (_ALPHA, _N_GRID)),
+    "in": (_cmd_in, "weighted Chebyshev moment value(s)", (_ALPHA, _N_GRID)),
+    "bounds": (_cmd_bounds, "uniform resolvent bounds", (_ALPHA, _M, _N)),
+    "hardy-check": (
+        _cmd_hardy_check,
+        "sufficient admissibility test",
+        (
+            _ALPHA,
+            ("--potential", dict(required=True)),
+            ("--tail-terms", dict(type=int, default=100_000)),
+        ),
+    ),
+    "hardy-weight": (
+        _cmd_hardy_weight,
+        "explicit power Hardy weight",
+        (
+            _ALPHA,
+            ("--epsilon", dict(type=float, required=True)),
+            ("--count", dict(type=int, default=0, help="emit the first N values")),
+        ),
+    ),
+    "bilap-green": (_cmd_bilap_green, "squared-Laplacian resolvent entry", (_M, _N, _LAM)),
+    "bilap-lambda": (
+        _cmd_bilap_lambda,
+        "single-site bound state",
+        (
+            ("--n", dict(type=int, required=True, help="coupling site")),
+            ("--c", dict(type=float, required=True)),
+            ("--method", dict(choices=_METHODS, default="auto")),
+        ),
+    ),
+    "probe-min-eig": (
+        _cmd_probe_min_eig,
+        "smallest finite-section eigenvalue",
+        (_ALPHA, _SIZE, ("--potential", dict(default="zero"))),
+    ),
+    "probe-critical": (
+        _cmd_probe_critical,
+        "criticality dichotomy scan",
+        (
+            _ALPHA,
+            ("--site", dict(type=int, default=1)),
+            ("--c", dict(required=True, help="coupling grid spec")),
+            _SCHEDULE,
+        ),
+    ),
+    "probe-hardy": (
+        _cmd_probe_hardy,
+        "explicit Hardy weight witness",
+        (_ALPHA, ("--epsilon", dict(type=float, required=True)), _SCHEDULE),
+    ),
+    "probe-reflected": (
+        _cmd_probe_reflected,
+        "reflected operator witness",
+        (
+            _ALPHA,
+            ("--c", dict(type=float, required=True)),
+            ("--site", dict(type=int, default=1)),
+            _SCHEDULE,
+        ),
+    ),
+    "probe-kpp": (_cmd_probe_kpp, "improved square-root weight witness", (_SCHEDULE,)),
+    "selftest": (_cmd_selftest, "formula-vs-oracle suites with pass/fail table", ()),
+}
+
+
+class _UsageError(Exception):
+    """A usage error seen while parsing with only one subcommand's parser."""
+
+
+class _OneCommandParser(argparse.ArgumentParser):
+    # the full parser prints usage errors: some of them list every subcommand
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; with ``only``, just that subcommand's, for speed.
+
+    A one-subcommand parser raises :class:`_UsageError` instead of printing,
+    so that the full parser can print the message every argv gets.
+    """
+    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
         prog="fraclap",
         description="Fractional powers of the discrete half-line Laplacian: "
         "entries, Green kernels, Hardy weights, spectral probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    for name, (handler, help_, arguments) in _COMMANDS.items():
+        if only not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
         p.add_argument("--digits", type=int, default=17)
         p.add_argument("--format", choices=("csv", "json", "plain"), default="plain")
         p.add_argument("--out", default=None)
-        return p
-
-    p = add("entry", _cmd_entry, help="matrix entry of a power of the Laplacian")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("matrix", _cmd_matrix, help="finite section of a power")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
-
-    p = add("green", _cmd_green, help="resolvent entry by quadrature")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lam", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-
-    p = add("gn", _cmd_gn, help="weight sequence value(s)")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--n", required=True, help="index or grid spec")
-
-    p = add("in", _cmd_in, help="weighted Chebyshev moment value(s)")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--n", required=True, help="index or grid spec")
-
-    p = add("bounds", _cmd_bounds, help="uniform resolvent bounds")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("hardy-check", _cmd_hardy_check, help="sufficient admissibility test")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--potential", required=True)
-    p.add_argument("--tail-terms", type=int, default=100_000)
-
-    p = add("hardy-weight", _cmd_hardy_weight, help="explicit power Hardy weight")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--count", type=int, default=0, help="emit the first N values")
-
-    p = add("bilap-green", _cmd_bilap_green, help="squared-Laplacian resolvent entry")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--lam", required=True)
-
-    p = add("bilap-lambda", _cmd_bilap_lambda, help="single-site bound state")
-    p.add_argument("--n", type=int, required=True, help="coupling site")
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument(
-        "--method",
-        choices=("auto", "closed", "implicit", "small_c", "large_c"),
-        default="auto",
-    )
-
-    p = add("probe-min-eig", _cmd_probe_min_eig, help="smallest finite-section eigenvalue")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--potential", default="zero")
-
-    p = add("probe-critical", _cmd_probe_critical, help="criticality dichotomy scan")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--site", type=int, default=1)
-    p.add_argument("--c", required=True, help="coupling grid spec")
-    p.add_argument("--schedule", default=DEFAULT_SCHEDULE)
-
-    p = add("probe-hardy", _cmd_probe_hardy, help="explicit Hardy weight witness")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--schedule", default=DEFAULT_SCHEDULE)
-
-    p = add("probe-reflected", _cmd_probe_reflected, help="reflected operator witness")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--c", type=float, required=True)
-    p.add_argument("--site", type=int, default=1)
-    p.add_argument("--schedule", default=DEFAULT_SCHEDULE)
-
-    p = add("probe-kpp", _cmd_probe_kpp, help="improved square-root weight witness")
-    p.add_argument("--schedule", default=DEFAULT_SCHEDULE)
-
-    add("selftest", _cmd_selftest, help="formula-vs-oracle suites with pass/fail table")
-
+        for flag, kwargs in arguments:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+def _attach_negative_lambda(argv: list[str]) -> list[str]:
+    """``--lam -1e-3`` as ``--lam=-1e-3``, also for abbreviations such as --la.
+
+    argparse reads a value with a leading minus as an option unless it
+    looks like -1 or -1.5, so an exponent or a complex value such as -1-1j
+    would leave --lam without its argument.
+    """
+    out = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if len(flag) > 2 and "--lam".startswith(flag) and arg.startswith("-"):
+            try:
+                _parse_lambda(arg)
+                out[-1] = f"{flag}={arg}"
+                continue
+            except CliError:
+                pass
+        out.append(arg)
+    return out
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parses argv, building only the parser of the subcommand it names.
+
+    The full parser is built for help, a missing or unknown command, and
+    to print any usage error, so every argv gets the same output as from
+    the full parser alone.
+    """
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        if _LAM in _COMMANDS[name][2]:
+            argv = _attach_negative_lambda(argv)
+        try:
+            return _build_parser(name).parse_args(argv)
+        except _UsageError:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         # argparse uses exit code 2 for usage errors; the contract says 1
         return 0 if exc.code == 0 else 1

@@ -150,39 +150,44 @@ def weighted_sq_integral(alpha: float, n: int) -> float:
     return 2.0 ** (alpha - 2.0) * _gamma_ratio(alpha) * g_weight(alpha, n)
 
 
-def weighted_sq_integral_quad(alpha: float, n: int, tol: float = 1e-12) -> float:
+def weighted_sq_integral_quad(alpha: float, n, tol: float = 1e-12):
     """Direct quadrature of the same moment (independent oracle).
 
     The integrand is exponentiated from log space: its two factors
     individually overflow/underflow near theta = 0 at the deepest
     tanh-sinh nodes even though their product (order theta^(2-2*alpha))
-    stays representable.
+    stays representable.  An integer array n gives an array of moments
+    from one quadrature pass; a scalar n returns a float.
     """
     _check_subcritical_range(alpha)
+    shape = np.shape(n)
+    ks, ni = np.unique(np.ravel(n), return_inverse=True)
 
     def g(theta):
         with np.errstate(divide="ignore"):
-            logs = 2.0 * np.log(np.abs(np.sin(n * theta))) - alpha * np.log(
-                2.0 * np.sin(0.5 * theta) ** 2
-            )
+            log_sq = 2.0 * np.log(np.abs(np.sin(ks[:, None] * theta)))
+            logs = log_sq[ni] - alpha * np.log(2.0 * np.sin(0.5 * theta) ** 2)
         return np.exp(logs)
 
-    return float(quadrature.integrate_theta(g, tol))
+    val = quadrature.integrate_theta(g, tol)
+    return val.reshape(shape) if shape else float(val[0])
 
 
 # ---------------------------------------------------------------------------
 # Green kernel and uniform bounds
 
 
-def green_entry(alpha: float, m: int, n: int, lam, tol: float = 1e-12):
+def green_entry(alpha: float, m, n, lam, tol: float = 1e-12):
     """Resolvent entry (A(alpha) - lam)^(-1)_{m,n} by angular quadrature.
 
     lam may be any real number outside [0, 4^alpha] or a complex number off
-    that segment.  Returns a float for real lam, complex otherwise.
+    that segment.  Returns a float for real lam, complex otherwise.  Integer
+    arrays m and n (broadcast together) give an array of entries from one
+    quadrature pass, each equal to its scalar call bit for bit.
     """
     operators.check_positive_power(alpha)
-    if m < 1 or n < 1:
-        raise ValueError("indices are 1-based: m, n >= 1")
+    shape = np.broadcast_shapes(np.shape(m), np.shape(n))
+    ks, mi, ni = operators.sine_indices(m, n)
     if not cmath.isfinite(lam):
         raise ValueError(f"lam={lam} must be finite")
     top = 4.0**alpha
@@ -194,11 +199,16 @@ def green_entry(alpha: float, m: int, n: int, lam, tol: float = 1e-12):
         raise ValueError(f"lam={lam} lies in the spectrum [0, {top}]")
 
     def g(theta):
+        s = np.sin(ks[:, None] * theta)
         denom = (4.0 * np.sin(0.5 * theta) ** 2) ** alpha - lam
-        return np.sin(m * theta) * np.sin(n * theta) / denom
+        return s[mi] * s[ni] / denom
 
     val = quadrature.integrate_theta(g, tol) * 2.0 / math.pi
-    return float(np.real(val)) if is_real else complex(val)
+    if is_real:
+        val = np.real(val)
+    if shape:
+        return val.reshape(shape)
+    return float(val[0]) if is_real else complex(val[0])
 
 
 @lru_cache(maxsize=256)

@@ -209,38 +209,53 @@ def assemble_reflected(alpha: float | Exponent, size: int) -> TruncatedOperator:
     return TruncatedOperator(size=size, entries=mat)
 
 
-def entry_oracle(alpha: float, m: int, n: int, tol: float = 1e-12) -> float:
+def sine_indices(m, n):
+    """Distinct indices k of m and n, and where each m and n sits among them.
+
+    The oracles below evaluate sin(k*theta) once per distinct k and pick
+    the rows of each (m, n) pair from that table.
+    """
+    m, n = np.broadcast_arrays(m, n)
+    if np.any(m < 1) or np.any(n < 1):
+        raise ValueError("indices are 1-based: m, n >= 1")
+    ks = np.unique(np.concatenate([m.ravel(), n.ravel()]))
+    return ks, np.searchsorted(ks, m.ravel()), np.searchsorted(ks, n.ravel())
+
+
+def entry_oracle(alpha: float, m, n, tol: float = 1e-12):
     """Independent quadrature evaluation of the entry, valid for alpha > -3/2.
 
     Integrates (2^(alpha+1)/pi) * (2 sin^2(theta/2))^alpha sin(m theta)
     sin(n theta) over (0, pi); the angular form keeps full accuracy at the
     endpoint singularity for negative alpha.
+
+    m and n may be integer arrays (broadcast together): one quadrature pass
+    then serves every entry, each equal to its scalar call bit for bit.
+    Scalar indices return a float.
     """
     if alpha <= -1.5:
         raise ValueError("quadrature representation requires alpha > -3/2")
-    if m < 1 or n < 1:
-        raise ValueError("indices are 1-based: m, n >= 1")
+    shape = np.broadcast_shapes(np.shape(m), np.shape(n))
+    ks, mi, ni = sine_indices(m, n)
 
     if alpha >= 0.0:
         def g(theta):
+            s = np.sin(ks[:, None] * theta)
             base = 2.0 * np.sin(0.5 * theta) ** 2
-            return base**alpha * np.sin(m * theta) * np.sin(n * theta)
+            return base**alpha * s[mi] * s[ni]
     else:
         # negative power: the base factor alone overflows at the deepest
         # quadrature nodes; assemble the product in log space instead
         def g(theta):
-            sm = np.sin(m * theta)
-            sn = np.sin(n * theta)
+            s = np.sin(ks[:, None] * theta)
             with np.errstate(divide="ignore"):
-                logs = (
-                    alpha * np.log(2.0 * np.sin(0.5 * theta) ** 2)
-                    + np.log(np.abs(sm))
-                    + np.log(np.abs(sn))
-                )
-            return np.sign(sm) * np.sign(sn) * np.exp(logs)
+                log_s = np.log(np.abs(s))
+                logs = alpha * np.log(2.0 * np.sin(0.5 * theta) ** 2) + log_s[mi] + log_s[ni]
+            sign = np.sign(s)
+            return sign[mi] * sign[ni] * np.exp(logs)
 
-    val = quadrature.integrate_theta(g, tol)
-    return float(2.0 ** (alpha + 1.0) / math.pi * val)
+    val = 2.0 ** (alpha + 1.0) / math.pi * quadrature.integrate_theta(g, tol)
+    return val.reshape(shape) if shape else float(val[0])
 
 
 def save_matrix_csv(op: TruncatedOperator, fh: IO[str]) -> None:

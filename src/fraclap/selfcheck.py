@@ -33,12 +33,11 @@ class SuiteResult:
 def suite_entry_oracle(max_index: int = 30) -> SuiteResult:
     """Closed-form matrix entries against the angular quadrature oracle."""
     worst = 0.0
+    m, n = np.triu_indices(max_index)
     for alpha in ENTRY_ALPHAS:
         section = operators.assemble(alpha, max_index).entries
-        for m in range(1, max_index + 1):
-            for n in range(m, max_index + 1):
-                diff = abs(section[m - 1, n - 1] - operators.entry_oracle(alpha, m, n, tol=1e-11))
-                worst = max(worst, diff)
+        oracle = operators.entry_oracle(alpha, m + 1, n + 1, tol=1e-11)
+        worst = max(worst, float(np.max(np.abs(section[m, n] - oracle))))
     return SuiteResult("entry_vs_oracle", worst <= 1e-9, worst, 1e-9)
 
 
@@ -65,29 +64,27 @@ def suite_base_cases(size: int = 50) -> SuiteResult:
 def suite_in_identity(max_n: int = 20) -> SuiteResult:
     """Closed form of the weighted Chebyshev moment against quadrature."""
     worst = 0.0
+    n = np.arange(1, max_n + 1)
     for alpha in IN_ALPHAS:
-        for n in range(1, max_n + 1):
-            diff = abs(
-                green.weighted_sq_integral(alpha, n)
-                - green.weighted_sq_integral_quad(alpha, n, tol=1e-11)
-            )
-            worst = max(worst, diff)
+        closed = np.array([green.weighted_sq_integral(alpha, k) for k in n.tolist()])
+        quad = green.weighted_sq_integral_quad(alpha, n, tol=1e-11)
+        worst = max(worst, float(np.max(np.abs(closed - quad))))
     return SuiteResult("in_identity", worst <= 1e-9, worst, 1e-9)
 
 
 def suite_green_bounds(max_index: int = 10) -> SuiteResult:
     """Resolvent entries dominated by both uniform bounds; C_1 = 1."""
     worst = 0.0  # most positive excess of |entry| over the smaller bound
+    m, n = np.triu_indices(max_index)
+    m, n = m + 1, n + 1
+    pairs = list(zip(m.tolist(), n.tolist()))
     for alpha in BOUND_ALPHAS:
+        rough = [green.uniform_bound_rough(alpha, i, j) for i, j in pairs]
+        refined = [green.uniform_bound_refined(alpha, i, j) for i, j in pairs]
+        cap = np.minimum(rough, refined)
         for lam in BOUND_LAMBDAS:
-            for m in range(1, max_index + 1):
-                for n in range(m, max_index + 1):
-                    val = abs(green.green_entry(alpha, m, n, lam, tol=1e-11))
-                    cap = min(
-                        green.uniform_bound_rough(alpha, m, n),
-                        green.uniform_bound_refined(alpha, m, n),
-                    )
-                    worst = max(worst, val - cap)
+            val = np.abs(green.green_entry(alpha, m, n, lam, tol=1e-11))
+            worst = max(worst, float(np.max(val - cap)))
     c1_err = abs(green.rough_bound_const(1.0) - 1.0)
     passed = worst <= 1e-10 and c1_err <= 1e-10
     return SuiteResult(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fraclap
-from fraclap import green, operators
+from fraclap import cli, green, operators
 from fraclap.cli import CliError, main, parse_grid, parse_potential, parse_schedule
 
 
@@ -213,6 +213,219 @@ class TestFixedCommandSet:
         code, out = one_thread_outputs[argv]
         assert code == 0
         assert _without_residuals(out) == expected
+
+
+
+# ---------------------------------------------------------------------------
+# parsing: help and usage errors, negative lambda values
+
+_TOP_USAGE = (
+    'usage: fraclap [-h]\n'
+    '               {entry,matrix,green,gn,in,bounds,hardy-check,hardy-weight,bilap-green,bilap-lambda,probe-min-eig,probe-critical,probe-hardy,probe-reflected,probe-kpp,selftest}\n'
+    '               ...\n'
+)
+#: (argv, stdout, stderr, exit code) of help and usage errors, printed by
+#: the parser that held all subcommands at once, under CPython 3.11 with
+#: COLUMNS=80; argparse words and wraps these differently in other versions
+_USAGE_OUTPUTS = [
+    (
+        ('-h',),
+        _TOP_USAGE + (
+            '\n'
+            'Fractional powers of the discrete half-line Laplacian: entries, Green kernels,\n'
+            'Hardy weights, spectral probes.\n'
+            '\n'
+            'positional arguments:\n'
+            '  {entry,matrix,green,gn,in,bounds,hardy-check,hardy-weight,bilap-green,bilap-lambda,probe-min-eig,probe-critical,probe-hardy,probe-reflected,probe-kpp,selftest}\n'
+            '    entry               matrix entry of a power of the Laplacian\n'
+            '    matrix              finite section of a power\n'
+            '    green               resolvent entry by quadrature\n'
+            '    gn                  weight sequence value(s)\n'
+            '    in                  weighted Chebyshev moment value(s)\n'
+            '    bounds              uniform resolvent bounds\n'
+            '    hardy-check         sufficient admissibility test\n'
+            '    hardy-weight        explicit power Hardy weight\n'
+            '    bilap-green         squared-Laplacian resolvent entry\n'
+            '    bilap-lambda        single-site bound state\n'
+            '    probe-min-eig       smallest finite-section eigenvalue\n'
+            '    probe-critical      criticality dichotomy scan\n'
+            '    probe-hardy         explicit Hardy weight witness\n'
+            '    probe-reflected     reflected operator witness\n'
+            '    probe-kpp           improved square-root weight witness\n'
+            '    selftest            formula-vs-oracle suites with pass/fail table\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+        ),
+        "",
+        0,
+    ),
+    (
+        (),
+        "",
+        _TOP_USAGE + 'fraclap: error: the following arguments are required: command\n',
+        1,
+    ),
+    (
+        ('no-such-command',),
+        "",
+        _TOP_USAGE + "fraclap: error: argument command: invalid choice: 'no-such-command' (choose from 'entry', 'matrix', 'green', 'gn', 'in', 'bounds', 'hardy-check', 'hardy-weight', 'bilap-green', 'bilap-lambda', 'probe-min-eig', 'probe-critical', 'probe-hardy', 'probe-reflected', 'probe-kpp', 'selftest')\n",
+        1,
+    ),
+    (
+        ('--digits', '3', 'entry'),
+        "",
+        _TOP_USAGE + "fraclap: error: argument command: invalid choice: '3' (choose from 'entry', 'matrix', 'green', 'gn', 'in', 'bounds', 'hardy-check', 'hardy-weight', 'bilap-green', 'bilap-lambda', 'probe-min-eig', 'probe-critical', 'probe-hardy', 'probe-reflected', 'probe-kpp', 'selftest')\n",
+        1,
+    ),
+    (
+        ('entry', '-h'),
+        (
+            'usage: fraclap entry [-h] [--digits DIGITS] [--format {csv,json,plain}]\n'
+            '                     [--out OUT] --alpha ALPHA --m M --n N\n'
+            '\n'
+            'options:\n'
+            '  -h, --help            show this help message and exit\n'
+            '  --digits DIGITS\n'
+            '  --format {csv,json,plain}\n'
+            '  --out OUT\n'
+            '  --alpha ALPHA\n'
+            '  --m M\n'
+            '  --n N\n'
+        ),
+        "",
+        0,
+    ),
+    (
+        ('entry', '--alpha', 'x', '--m', '1', '--n', '1'),
+        "",
+        (
+            'usage: fraclap entry [-h] [--digits DIGITS] [--format {csv,json,plain}]\n'
+            '                     [--out OUT] --alpha ALPHA --m M --n N\n'
+            "fraclap entry: error: argument --alpha: invalid float value: 'x'\n"
+        ),
+        1,
+    ),
+    (
+        ('entry', '--m', '1', '--n', '1'),
+        "",
+        (
+            'usage: fraclap entry [-h] [--digits DIGITS] [--format {csv,json,plain}]\n'
+            '                     [--out OUT] --alpha ALPHA --m M --n N\n'
+            'fraclap entry: error: the following arguments are required: --alpha\n'
+        ),
+        1,
+    ),
+    (
+        ('entry', '--alpha', '1', '--m', '1', '--n', '2', '--bogus'),
+        "",
+        _TOP_USAGE + 'fraclap: error: unrecognized arguments: --bogus\n',
+        1,
+    ),
+    (
+        ('entry', '--alpha', '1', '--m', '1', '--n', '2', 'extra'),
+        "",
+        _TOP_USAGE + 'fraclap: error: unrecognized arguments: extra\n',
+        1,
+    ),
+    (
+        ('probe-critical', '--alpha', '1', '--c', '1', '--format', 'xml'),
+        "",
+        (
+            'usage: fraclap probe-critical [-h] [--digits DIGITS]\n'
+            '                              [--format {csv,json,plain}] [--out OUT] --alpha\n'
+            '                              ALPHA [--site SITE] --c C [--schedule SCHEDULE]\n'
+            "fraclap probe-critical: error: argument --format: invalid choice: 'xml' (choose from 'csv', 'json', 'plain')\n"
+        ),
+        1,
+    ),
+    (
+        ('bilap-lambda', '--n', '1', '--c', '1', '--method', 'nope'),
+        "",
+        (
+            'usage: fraclap bilap-lambda [-h] [--digits DIGITS] [--format {csv,json,plain}]\n'
+            '                            [--out OUT] --n N --c C\n'
+            '                            [--method {auto,closed,implicit,small_c,large_c}]\n'
+            "fraclap bilap-lambda: error: argument --method: invalid choice: 'nope' (choose from 'auto', 'closed', 'implicit', 'small_c', 'large_c')\n"
+        ),
+        1,
+    ),
+    (
+        ('entry', '--alpha', '1.5', '--m', '2', '--n', '3', '--digits'),
+        "",
+        (
+            'usage: fraclap entry [-h] [--digits DIGITS] [--format {csv,json,plain}]\n'
+            '                     [--out OUT] --alpha ALPHA --m M --n N\n'
+            'fraclap entry: error: argument --digits: expected one argument\n'
+        ),
+        1,
+    ),
+    (
+        ('green', '--alpha', '0.75', '--m', '1', '--n', '1', '--lam'),
+        "",
+        (
+            'usage: fraclap green [-h] [--digits DIGITS] [--format {csv,json,plain}]\n'
+            '                     [--out OUT] --alpha ALPHA --m M --n N --lam LAM\n'
+            '                     [--tol TOL]\n'
+            'fraclap green: error: argument --lam: expected one argument\n'
+        ),
+        1,
+    ),
+]
+
+_USAGE_IDS = [" ".join(argv) or "no-arguments" for argv, *_ in _USAGE_OUTPUTS]
+
+
+class TestParsing:
+    """main builds only the named subcommand's parser, with unchanged output."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="argparse text of CPython 3.11")
+    @pytest.mark.parametrize("argv, out, err, code", _USAGE_OUTPUTS, ids=_USAGE_IDS)
+    def test_recorded_usage_output(self, capsys, argv, out, err, code):
+        assert run_cli(capsys, *argv) == (code, out, err)
+
+    @pytest.mark.parametrize("argv", [argv for argv, *_ in _USAGE_OUTPUTS], ids=_USAGE_IDS)
+    def test_same_output_as_full_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser().parse_args(list(argv))
+        captured = capsys.readouterr()
+        full = (0 if exc.value.code == 0 else 1, captured.out, captured.err)
+        assert run_cli(capsys, *argv) == full
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1e-3"), "0.85978612267567311\n"),
+            (("bilap-green", "--m", "1", "--n", "1", "--lam", "-1e-3"), "3.492102503569531\n"),
+            (
+                ("green", "--alpha", "0.75", "--m", "2", "--n", "3", "--lam", "-1-1j"),
+                "0.064239657894827579-0.081237747661923737j\n",
+            ),
+            (
+                ("bilap-green", "--m", "2", "--n", "3", "--lam", "-1-1j"),
+                "0.12655906253796897-0.13275882016131349j\n",
+            ),
+        ],
+        ids=["green-exponent", "bilap-green-exponent", "green-complex", "bilap-green-complex"],
+    )
+    def test_negative_lambda_as_its_own_argument(self, capsys, argv, out):
+        attached = argv[:-2] + (f"--lam={argv[-1]}",)
+        assert run_cli(capsys, *argv) == (0, out, "")
+        assert run_cli(capsys, *attached) == (0, out, "")
+
+    def test_negative_lambda_after_abbreviated_flag(self, capsys):
+        argv = ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--la", "-1e-3")
+        assert run_cli(capsys, *argv) == (0, "0.85978612267567311\n", "")
+
+    def test_lambda_flag_still_needs_a_value(self, capsys):
+        argv = ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "--tol", "1e-9")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.endswith("fraclap green: error: argument --lam: expected one argument\n")
 
 
 class TestMatrixCommand:

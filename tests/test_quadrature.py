@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fraclap import green, operators, selfcheck
 from fraclap.quadrature import QuadratureError, integrate_theta
 
 
@@ -70,3 +71,113 @@ class TestSemicircleWeight:
         with pytest.raises(ValueError, match="rel"):
             integrate_theta(np.sin, tol=1e-12, rel=rel)
 
+
+
+def _levels(g, tol=1e-12):
+    """Refinement levels one scalar integration runs, counted through g."""
+    calls = []
+    integrate_theta(lambda t: calls.append(t.size) or g(t), tol)
+    return (len(calls) - 1) // 2
+
+
+class TestIntegrandFamilies:
+    ROWS = (
+        np.sin,
+        lambda t: np.sin(17 * t) ** 2,
+        lambda t: t**-0.5,
+        lambda t: np.exp(np.cos(t)) * np.sin(3 * t),
+    )
+
+    def test_rows_equal_scalar_calls(self):
+        vals = integrate_theta(lambda t: np.stack([f(t) for f in self.ROWS]))
+        assert vals.shape == (len(self.ROWS),)
+        for val, f in zip(vals, self.ROWS):
+            assert val == integrate_theta(f)
+        # the rows stop at different levels, each where its scalar call stops
+        assert len({_levels(f) for f in self.ROWS}) > 1
+
+    def test_complex_rows_equal_scalar_calls(self):
+        rows = [lambda t, k=k: np.exp(1j * k * t) / (2.5 - np.cos(t)) for k in range(1, 6)]
+        vals = integrate_theta(lambda t: np.stack([f(t) for f in rows]), tol=1e-11)
+        assert vals.dtype == complex
+        for val, f in zip(vals, rows):
+            assert val == integrate_theta(f, tol=1e-11)
+
+    def test_one_row_family_is_the_scalar_call(self):
+        vals = integrate_theta(lambda t: np.sin(t)[None, :])
+        assert vals.shape == (1,) and vals[0] == integrate_theta(np.sin)
+
+    def test_one_unconverged_row_raises(self):
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal(1_000_000)
+
+        def family(theta):
+            idx = (np.abs(theta) * 1e6).astype(int) % len(noise)
+            return np.stack([np.sin(theta), noise[idx]])
+
+        with pytest.raises(QuadratureError):
+            integrate_theta(family, tol=1e-13)
+
+
+class TestBatchedOracles:
+    """Index arrays give one quadrature pass whose entries equal the scalar calls."""
+
+    @pytest.mark.parametrize("alpha", selfcheck.ENTRY_ALPHAS + (-0.5, -1.0, -1.4))
+    def test_entry_oracle(self, alpha):
+        size = 30 if alpha > 0.0 else 12
+        m, n = np.triu_indices(size)
+        vals = operators.entry_oracle(alpha, m + 1, n + 1, tol=1e-11)
+        assert vals.shape == m.shape
+        for i, j, val in zip(m.tolist(), n.tolist(), vals):
+            assert val == operators.entry_oracle(alpha, i + 1, j + 1, tol=1e-11)
+
+    def test_entry_oracle_broadcasts(self):
+        m = np.arange(1, 5)[:, None]
+        vals = operators.entry_oracle(0.75, m, np.arange(1, 4))
+        assert vals.shape == (4, 3)
+        assert vals[3, 1] == operators.entry_oracle(0.75, 4, 2)
+
+    @pytest.mark.parametrize("alpha", selfcheck.BOUND_ALPHAS)
+    def test_green_entry(self, alpha):
+        m, n = np.triu_indices(10)
+        for lam in selfcheck.BOUND_LAMBDAS:
+            vals = green.green_entry(alpha, m + 1, n + 1, lam, tol=1e-11)
+            for i, j, val in zip(m.tolist(), n.tolist(), vals):
+                assert val == green.green_entry(alpha, i + 1, j + 1, lam, tol=1e-11)
+
+    @pytest.mark.parametrize("lam", [1.0 + 1.0j, -1.0 - 1.0j, 20.0 - 0.5j])
+    def test_green_entry_complex(self, lam):
+        m, n = np.meshgrid(np.arange(1, 7), np.arange(1, 7))
+        vals = green.green_entry(0.75, m, n, lam)
+        assert vals.dtype == complex and vals.shape == (6, 6)
+        for i, j, val in zip(m.ravel().tolist(), n.ravel().tolist(), vals.ravel()):
+            assert val == green.green_entry(0.75, i, j, lam)
+
+    @pytest.mark.parametrize("alpha", selfcheck.IN_ALPHAS)
+    def test_weighted_sq_integral_quad(self, alpha):
+        n = np.arange(1, 21)
+        vals = green.weighted_sq_integral_quad(alpha, n, tol=1e-11)
+        for k, val in zip(n.tolist(), vals):
+            assert val == green.weighted_sq_integral_quad(alpha, k, tol=1e-11)
+
+    def test_scalar_values_recorded(self):
+        # printed with repr (exact round trip) by the one-integral-per-call oracles
+        assert operators.entry_oracle(1.5, 2, 3, tol=1e-11) == -2.0405751851153484
+        assert operators.entry_oracle(2.5, 30, 29, tol=1e-11) == -7.760698176525514
+        assert operators.entry_oracle(-1.4, 3, 5) == 37.42485452458721
+        assert green.weighted_sq_integral_quad(0.5 + 1e-7, 20, tol=1e-11) == 3.996862771605495
+        assert green.green_entry(1.4, 10, 10, -1e-4, tol=1e-11) == 47.732812513609375
+        assert green.green_entry(0.75, 2, 3, -1 - 1j) == 0.06423965789482758 - 0.08123774766192374j
+
+    def test_scalar_return_types(self):
+        assert type(operators.entry_oracle(1.5, 2, 3)) is float
+        assert type(operators.entry_oracle(-0.5, np.int64(2), 3)) is float
+        assert type(green.weighted_sq_integral_quad(0.75, 3)) is float
+        assert type(green.green_entry(0.75, 1, 2, -1.0)) is float
+        assert type(green.green_entry(0.75, 1, 2, 1.0 + 1.0j)) is complex
+
+    def test_rejects_bad_indices(self):
+        with pytest.raises(ValueError, match="1-based"):
+            operators.entry_oracle(1.5, np.array([1, 0]), 2)
+        with pytest.raises(ValueError, match="1-based"):
+            green.green_entry(0.75, 1, np.array([3, -1]), -1.0)
