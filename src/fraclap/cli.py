@@ -2,9 +2,10 @@
 
 Every library operation is a subcommand with flag-only configuration, so
 each run is self-describing and, for a fixed BLAS thread count,
-byte-for-byte reproducible.  Dense eigen-solves and their residuals
-depend on the thread count: their printed eigenvalues, extrapolations and
-residuals differ in trailing digits between one and two OpenBLAS threads.
+byte-for-byte reproducible.  Non-integer-power probes, dense and low-rank
+alike, depend on the thread count: their printed eigenvalues,
+extrapolations and residuals differ in trailing digits between one and two
+OpenBLAS threads.
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
 

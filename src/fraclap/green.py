@@ -9,6 +9,7 @@ admissibility condition, and explicit power-law Hardy weights.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -28,6 +29,9 @@ REMOVABLE_WINDOW = 1e-6
 #: so that exact-equality cases certify, while anything genuinely above the
 #: threshold by more than ~1e-12 relative stays inconclusive.
 _THRESHOLD_SLACK = 1e-12
+
+#: terms converted to Python floats at a time by the admissibility series
+_FSUM_CHUNK = 4096
 
 
 def _check_subcritical_range(alpha: float) -> None:
@@ -447,7 +451,12 @@ def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, floa
             terms = pot.site
         return pot.coeff * g_weight(alpha, pot.site), 0.0
     vals = pot.values(terms)
-    partial = math.fsum(g_weight_values(alpha, terms) * vals)
+    products = g_weight_values(alpha, terms) * vals
+    # fsum is correctly rounded, so any grouping gives the same sum; it reads
+    # Python floats (tolist) faster than numpy scalars, and chunks keep only
+    # _FSUM_CHUNK of them alive, not 10^5 (3 MB) at once
+    chunks = (products[i : i + _FSUM_CHUNK].tolist() for i in range(0, terms, _FSUM_CHUNK))
+    partial = math.fsum(itertools.chain.from_iterable(chunks))
     if pot.kind == "power":
         tail = _power_tail_bound(alpha, pot.coeff, pot.exponent, terms)
     elif pot.kind == "classical_hardy":

@@ -15,15 +15,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
+from scipy import fft as sfft
 from scipy import special as sp
 from scipy.linalg import hankel, toeplitz
 
 from . import quadrature
 
 SPECIAL_NEGATIVE = (-0.5, -1.0)
+
+#: columns per FFT pass of :func:`section_product`: its length-3N work
+#: arrays then stay small next to the N x columns input and output
+_PRODUCT_BLOCK = 8
 
 
 class UnsupportedExponentError(ValueError):
@@ -168,9 +173,47 @@ def assemble(alpha: float | Exponent, size: int) -> TruncatedOperator:
         t_diff = toeplitz(t[:size])
         mat = 0.5 * parity * (t_sum - t_diff)
     else:
-        c = _signed_coeff(a, np.arange(0, 2 * size + 1))
+        c = section_coefficients(a, size)
         mat = toeplitz(c[:size]) - hankel(c[2 : size + 2], c[size + 1 : 2 * size + 1])
     return TruncatedOperator(size=size, entries=mat)
+
+
+def section_coefficients(alpha: float, size: int) -> np.ndarray:
+    """c[0..2N] with A(alpha)_{m,n} = c[|m-n|] - c[m+n] on the size x size section."""
+    return _signed_coeff(alpha, np.arange(0, 2 * size + 1))
+
+
+def section_product(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """The map X -> (T - H) X, with T_{m,n} = coeffs[|m-n|], H_{m,n} = coeffs[m+n].
+
+    The matrix is N x N with N = (coeffs.size - 1) // 2 and 1-based m, n;
+    :func:`section_coefficients` makes it the section of A(alpha).  T - H
+    is the Toeplitz operator coeffs[|m-n|] restricted to odd sequences
+    (u_{-n} = -u_n, u_0 = 0), so (T - H) X is one circular convolution of
+    the odd extension of each column with coeffs[|d|], d in [1-N, 2N].  A
+    circular length L >= 3N + 1 keeps those 3N lags apart, so nothing
+    aliases.  Each column costs O(L log L); no N x N array is formed.
+    """
+    size = (coeffs.size - 1) // 2
+    length = sfft.next_fast_len(3 * size + 1, real=True)
+    kernel = np.zeros(length)
+    kernel[: 2 * size + 1] = coeffs
+    kernel[length - size + 1 :] = coeffs[size - 1 : 0 : -1]
+    kernel_hat = sfft.rfft(kernel)
+
+    def product(x: np.ndarray) -> np.ndarray:
+        cols = x.reshape(size, -1)
+        out = np.empty_like(cols)
+        for j in range(0, cols.shape[1], _PRODUCT_BLOCK):
+            block = cols[:, j : j + _PRODUCT_BLOCK]
+            odd = np.zeros((length, block.shape[1]))
+            odd[1 : size + 1] = block
+            odd[length - size :] = -block[::-1]
+            spectrum = sfft.rfft(odd, axis=0) * kernel_hat[:, None]
+            out[:, j : j + _PRODUCT_BLOCK] = sfft.irfft(spectrum, length, axis=0)[1 : size + 1]
+        return out.reshape(x.shape)
+
+    return product
 
 
 def assemble_band(alpha: float | Exponent, size: int) -> np.ndarray:

@@ -13,15 +13,54 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import fft as sfft
+from scipy import linalg
 from scipy.linalg import eig_banded, eigh, solve_banded
 from scipy.optimize import brentq
 
 from . import green, operators, quadrature
 
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
+
+#: smallest non-integer section solved as a sine transform plus a low-rank
+#: correction; below it the dense eigh is as fast (measured crossover)
+TAU_LOWRANK_MIN_SIZE = 400
+
+#: most potential sites folded into the low-rank correction
+_LOWRANK_MAX_SUPPORT = 64
+
+#: correction eigenvalues kept above this, relative to the norm 4^alpha
+_LOWRANK_TOL = 1e-15
+
+#: accepted a-posteriori error of the correction, in units of its cut
+_LOWRANK_ACCEPT = 10.0
+
+#: first and largest range-finder sample count, and the independent test
+#: columns of its error estimate
+_LOWRANK_SAMPLES = 32
+_LOWRANK_MAX_SAMPLES = 256
+_LOWRANK_PROBES = 4
+
+#: |E - U U^T E| <= 10 sqrt(2/pi) max_i |(E - U U^T E) w_i| with probability
+#: 1 - 10^-probes (Halko, Martinsson and Tropp 2011, eq. 4.3)
+_HALKO_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
+
+#: cap on the safeguarded Newton steps of the secular root
+_ROOT_STEPS = 100
+
+#: float64 blocks of 3N by the first sample count that bound a low-rank
+#: probe's memory: at N = 10^5 it peaked 324 MB above the interpreter's
+#: (with 64 samples), against the 5 * 8 * 3N * 36 = 430 MB estimated
+_LOWRANK_COPIES = 5
+
+#: N x N float64 arrays alive at once during a dense probe: the section and
+#: its shifted copy, or the shifted copy and LAPACK's working copy (15.6 MB
+#: traced at N = 1000), and one to spare for the reflected assembly
+_DENSE_COPIES = 3
 
 #: absolute floor below which a bound state cannot be separated from the
 #: rounding noise of a dense eigendecomposition (relative to the norm scale)
@@ -50,6 +89,10 @@ class ProbeResult:
     min_eigenvalue: float
     converged: bool
     residual: float
+    #: "band", "dense" or "tau_lowrank"; not printed
+    solver: str = "dense"
+    #: rank of the low-rank correction on the tau_lowrank path, else 0
+    rank: int = 0
 
 
 @dataclass(frozen=True)
@@ -83,7 +126,7 @@ class ConvergenceSeries:
         return cls(pts, limit, abs(limit - e3) + 1e-2 * abs(d2), monotone)
 
 
-def _result(alpha, size, descriptor, lam, residual, norm_scale) -> ProbeResult:
+def _result(alpha, size, descriptor, lam, residual, norm_scale, solver, rank=0) -> ProbeResult:
     return ProbeResult(
         alpha=alpha,
         size=size,
@@ -91,6 +134,8 @@ def _result(alpha, size, descriptor, lam, residual, norm_scale) -> ProbeResult:
         min_eigenvalue=lam,
         converged=residual <= 1e-8 * norm_scale,
         residual=residual,
+        solver=solver,
+        rank=rank,
     )
 
 
@@ -99,7 +144,7 @@ def _probe_dense(alpha: float, mat: np.ndarray, descriptor: str) -> ProbeResult:
     lam, v = float(w[0]), v[:, 0]
     residual = float(np.linalg.norm(mat @ v - lam * v))
     norm_scale = float(np.abs(mat).sum(axis=1).max())  # row-sum bound on the norm
-    return _result(alpha, mat.shape[0], descriptor, lam, residual, norm_scale)
+    return _result(alpha, mat.shape[0], descriptor, lam, residual, norm_scale, "dense")
 
 
 def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -146,7 +191,187 @@ def _probe_band(alpha: float, ab: np.ndarray, descriptor: str) -> ProbeResult:
     # where lam is exact (N = 1, or a spectrum known in closed form)
     v = _inverse_iteration(ab, lam - np.finfo(float).eps * (1.0 + norm_scale))
     residual = float(np.linalg.norm(_band_matvec(ab, v) - lam * v))
-    return _result(alpha, ab.shape[1], descriptor, lam, residual, norm_scale)
+    return _result(alpha, ab.shape[1], descriptor, lam, residual, norm_scale, "band")
+
+
+def _dst(x: np.ndarray) -> np.ndarray:
+    """The orthonormal DST-I S along axis 0; S is symmetric and S @ S = I."""
+    return sfft.dst(x, type=1, norm="ortho", axis=0)
+
+
+def _tau_coefficients(samples: np.ndarray) -> np.ndarray:
+    """b[0..2N] with tau_N(f)_{m,n} = b[|m-n|] - b[m+n], from f(theta_k), k = 1..N.
+
+    sin(m t) sin(n t) = (cos((m-n) t) - cos((m+n) t)) / 2 turns
+    tau_N(f) = S diag(f(theta_k)) S into b[j] = sum_k f(theta_k) cos(j theta_k)
+    / (N+1): a DCT-I for j <= N+1, mirrored about N+1 beyond.
+    """
+    size = samples.size
+    half = sfft.dct(np.concatenate([[0.0], samples, [0.0]]), type=1) / (2.0 * (size + 1))
+    return np.concatenate([half, half[size:1:-1]])
+
+
+def _lowrank_correction(apply, size: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(U, lam) with E ~ U diag(lam) U^T for the symmetric operator X -> apply(X).
+
+    A randomized range finder (Halko, Martinsson and Tropp 2011) from a
+    fixed seed, with one power step re-orthonormalized by QR: an unscaled
+    power step would lose everything below sqrt(eps) * |E|.  The rank keeps
+    the eigenvalues of the compression above tol.  The sample count doubles,
+    up to _LOWRANK_MAX_SAMPLES, until the a-posteriori estimate of
+    |E - U diag(lam) U^T|, taken on independent test columns, is within
+    _LOWRANK_ACCEPT * tol.  The rounding of the FFT product alone puts that
+    estimate at 1e-15 to 5e-15 times 4^alpha (measured for N from 400 to
+    20 000), so a bound of tol itself would never be met.
+    """
+    rng = np.random.default_rng(0)
+    samples = _LOWRANK_SAMPLES
+    while True:
+        omega = rng.standard_normal((size, samples + _LOWRANK_PROBES))
+        sampled = apply(omega)
+        q = linalg.qr(sampled[:, :samples], mode="economic")[0]
+        q = linalg.qr(apply(q), mode="economic")[0]
+        compressed = q.T @ apply(q)
+        lam, vecs = linalg.eigh(0.5 * (compressed + compressed.T))
+        keep = np.abs(lam) > tol
+        u, lam = q @ vecs[:, keep], lam[keep]
+        tests, images = omega[:, samples:], sampled[:, samples:]
+        misfit = images - u @ (lam[:, None] * (u.T @ tests))
+        estimate = _HALKO_FACTOR * float(
+            (np.linalg.norm(misfit, axis=0) / np.linalg.norm(tests, axis=0)).max()
+        )
+        if estimate <= _LOWRANK_ACCEPT * tol or samples >= _LOWRANK_MAX_SAMPLES:
+            return u, lam
+        samples *= 2
+
+
+def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of the diagonal-plus-low-rank H = D + W diag(signs) W^T.
+
+    hi = min_k H_kk bounds lambda_min from above and Weyl's inequality
+    gives lo below it.  The poles d_k at or below hi, and the next one, are
+    lifted to that next pole t and their offsets d_k - t moved into the
+    low-rank part, so that D - s stays positive and well conditioned for
+    s in (lo, hi).  Haynsworth inertia additivity then counts the
+    eigenvalues of H below s as #(signs < 0) - #neg(M(s)), with the secular
+    matrix M(s) = diag(signs) + W^T (D - s)^-1 W.  Every eigenvalue of M
+    increases with s (its derivative is W^T (D - s)^-2 W), so lambda_min is
+    where the m-th smallest, m = #(signs < 0), crosses zero; a Newton step
+    on that eigenvalue, safeguarded by bisection, finds it.  The eigenvector
+    comes from Woodbury inverse iteration in the same model.
+    """
+    eps = np.finfo(float).eps
+    weights = w**2
+    lo = float(d.min() - weights[:, signs < 0.0].sum())
+    lo -= 4.0 * eps * (abs(lo) + norm_scale)
+    hi = float((d + weights @ signs).min())  # a Rayleigh quotient
+    hi += 4.0 * eps * (abs(hi) + norm_scale)
+    order = np.argsort(d)
+    lifted = order[: np.searchsorted(d[order], hi, side="right") + 1]
+    top = d[order[lifted.size]] if lifted.size < d.size else abs(hi) + norm_scale
+    offsets = np.zeros((d.size, lifted.size))
+    offsets[lifted, np.arange(lifted.size)] = np.sqrt(top - d[lifted])
+    d = d.copy()
+    d[lifted] = top
+    w = np.hstack([w, offsets])
+    signs = np.concatenate([signs, -np.ones(lifted.size)])
+    index = int((signs < 0.0).sum()) - 1
+
+    def secular(s):
+        g = 1.0 / (d - s)
+        m = w.T @ (w * g[:, None])
+        m[np.diag_indices_from(m)] += signs
+        return m, g
+
+    s = hi
+    for _ in range(_ROOT_STEPS):
+        m, g = secular(s)
+        nu, vecs = linalg.eigh(m)
+        if nu[index] < 0.0:
+            lo = s
+        else:
+            hi = s
+        slope = float((((w @ vecs[:, index]) * g) ** 2).sum())
+        step = s - nu[index] / slope if slope > 0.0 else s
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        # a few rounding units: below that the steps follow rounding noise
+        done = abs(step - s) <= 8.0 * eps * abs(s) or hi - lo <= 8.0 * eps * max(abs(lo), abs(hi))
+        s = step
+        if done:
+            break
+
+    # inverse iteration one rounding unit of the norm below the eigenvalue;
+    # each solve is (D - shift)^-1 b corrected through the Woodbury identity,
+    # whose small matrix is near singular by design (so no rcond check)
+    m, g = secular(s - eps * (1.0 + norm_scale))
+    lu = linalg.lu_factor(m)
+    x = np.random.default_rng(0).standard_normal(d.size)
+    for _ in range(_INVERSE_STEPS):
+        z = g * x
+        x = z - g * (w @ linalg.lu_solve(lu, w.T @ z))
+        x /= np.linalg.norm(x)
+    return float(s), x
+
+
+def _probe_tau_lowrank(
+    alpha: float, size: int, values: np.ndarray, descriptor: str, reflected: bool
+) -> ProbeResult:
+    """Smallest eigenpair of a non-integer section minus a finitely supported V.
+
+    The section A_N is tau_N(f) + E_N: tau_N(f) = S diag(f(theta_k)) S with
+    S the DST-I, theta_k = k pi/(N+1) and f = (4 sin^2(theta/2))^alpha (the
+    tau algebra of Bini and Capovani), and E_N of numerical rank 15 to 32
+    whatever N.  tau_N(f) is Toeplitz-minus-Hankel too
+    (:func:`_tau_coefficients`), so E_N X is one FFT section product and no
+    N x N array is formed.  In the DST basis the section minus V becomes
+    D + W diag(signs) W^T, with W = S [U |lam|^1/2, sqrt(V_s) e_s].  The
+    eigenvalue is a secular root of that model, the eigenvector comes from
+    Woodbury inverse iteration in it, and the residual is taken against the
+    true section, so truncation error shows in ``converged``.  The reflected
+    section is tau_N(4^alpha - f) - E_N.
+    """
+    _check_memory(
+        _LOWRANK_COPIES * 8 * 3 * size * (_LOWRANK_SAMPLES + _LOWRANK_PROBES),
+        f"a low-rank probe of a {size}-site section",
+    )
+    scale = 4.0**alpha
+    coeffs = operators.section_coefficients(alpha, size)
+    product = operators.section_product(coeffs)
+    theta = np.arange(1, size + 1) * (math.pi / (size + 1))
+    f = (2.0 * np.sin(0.5 * theta)) ** (2.0 * alpha)
+    correction = operators.section_product(coeffs - _tau_coefficients(f))
+    u, lam = _lowrank_correction(correction, size, _LOWRANK_TOL * scale)
+    sites = np.flatnonzero(values)
+    spikes = np.zeros((size, sites.size))
+    spikes[sites, np.arange(sites.size)] = np.sqrt(values[sites])
+    w = _dst(np.hstack([u * np.sqrt(np.abs(lam)), spikes]))
+    signs = np.concatenate([np.sign(lam), -np.ones(sites.size)])
+    d = f
+    if reflected:
+        d, signs[: lam.size] = scale - f, -signs[: lam.size]
+
+    norm_scale = scale + float(values.max(initial=0.0))  # |B - V| <= 4^alpha + max V
+    lam_min, x = _model_min_eigenpair(d, w, signs, norm_scale)
+    v = _dst(x)
+    bv = scale * v - product(v) if reflected else product(v)
+    residual = float(np.linalg.norm(bv - values * v - lam_min * v))
+    return _result(alpha, size, descriptor, lam_min, residual, norm_scale, "tau_lowrank", lam.size)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(nbytes: int, what: str) -> None:
+    """Refuse a working set larger than physical memory with a ValueError."""
+    have = _physical_memory()
+    if nbytes > have:
+        raise ValueError(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def _section_probe(
@@ -154,20 +379,29 @@ def _section_probe(
 ) -> ProbeResult:
     """Smallest eigenpair of the size x size section of B - V.
 
-    B is A(alpha), or the reflected 4^alpha - A(alpha).  Banded powers
-    (:func:`operators.is_banded`) are assembled and solved in band storage
-    and never densified.  Every other power is solved dense.
+    B is A(alpha), or the reflected 4^alpha - A(alpha).  The solver follows
+    the section's structure:
+
+    * banded (integer) powers are assembled and solved in band storage
+      and never densified;
+    * other powers with a potential on at most _LOWRANK_MAX_SUPPORT sites
+      and size >= TAU_LOWRANK_MIN_SIZE go to :func:`_probe_tau_lowrank`;
+    * the rest (smaller sections, power Hardy weights) is solved dense.
     """
+    values = pot.values(size)
     if operators.is_banded(alpha):
         ab = operators.assemble_band(alpha, size)
         if reflected:
             ab = -ab
             ab[0] += 4.0**alpha
-        ab[0] -= pot.values(size)
+        ab[0] -= values
         return _probe_band(alpha, ab, descriptor)
+    if size >= TAU_LOWRANK_MIN_SIZE and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
+        return _probe_tau_lowrank(alpha, size, values, descriptor, reflected)
+    _check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
     assemble = operators.assemble_reflected if reflected else operators.assemble
     mat = assemble(alpha, size).entries.copy()
-    mat[np.diag_indices(size)] -= pot.values(size)
+    mat[np.diag_indices(size)] -= values
     return _probe_dense(alpha, mat, descriptor)
 
 

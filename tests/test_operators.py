@@ -15,6 +15,8 @@ from fraclap.operators import (
     entry,
     entry_oracle,
     save_matrix_csv,
+    section_coefficients,
+    section_product,
 )
 
 
@@ -186,3 +188,24 @@ class TestSerialization:
         op = assemble(1.0, 5)
         with pytest.raises(ValueError):
             op.entries[0, 0] = 99.0
+
+
+class TestSectionProduct:
+    """The FFT Toeplitz-minus-Hankel product against the assembled section."""
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.75, 1.5, 2.5, 3.0])
+    @pytest.mark.parametrize("size", [1, 2, 3, 17, 300])
+    def test_matches_assembled_section(self, alpha, size):
+        x = np.random.default_rng(size).standard_normal((size, 3))
+        mat = assemble(alpha, size).entries
+        product = section_product(section_coefficients(alpha, size))
+        scale = 4.0**alpha * np.abs(x).sum(axis=0).max()
+        assert np.abs(product(x) - mat @ x).max() <= 1e-15 * scale * max(1.0, math.log2(size))
+        assert np.abs(product(x[:, 0]) - mat @ x[:, 0]).max() <= 1e-15 * scale * max(1.0, math.log2(size))
+
+    def test_coefficients_are_the_assembled_ones(self):
+        c = section_coefficients(1.25, 40)
+        mat = assemble(1.25, 40).entries
+        assert c.shape == (81,)
+        assert c[0] - c[2] == mat[0, 0]
+        assert c[5] - c[40 + 35] == mat[39, 34]

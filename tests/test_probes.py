@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import green, operators, probes
+from fraclap import cli, green, operators, probes
 from fraclap.bilaplacian import lambda_site1_closed
 from fraclap.probes import (
     ConvergenceSeries,
@@ -109,6 +109,125 @@ class TestIntegerBandPath:
         rec = reflected_witness(2.0, 0.5, 1, (50, 100))
         assert rec.verdict == "nonnegative"
         assert all(r.converged for r in rec.schedule)
+
+
+def _dense_min(alpha, size, pot, reflected=False):
+    assemble = operators.assemble_reflected if reflected else operators.assemble
+    return np.linalg.eigvalsh(assemble(alpha, size).entries - np.diag(pot.values(size)))[0]
+
+
+class TestTauLowrankPath:
+    """Non-integer sections as a sine transform plus a low-rank correction."""
+
+    GRID_ALPHAS = (0.25, 0.5, 0.75, 1.25, 1.4, 1.5, 1.75, 2.5)
+
+    @pytest.mark.parametrize("alpha", GRID_ALPHAS)
+    def test_gate_grid_matches_eigh(self, alpha):
+        # called directly below the crossover, so the whole grid stays fast
+        size = 150
+        for site in (1, 2, 3):
+            for c in (1e-3, 1e-2, 0.5):
+                pot = green.Potential.delta(site, c)
+                for reflected in (False, True):
+                    res = probes._probe_tau_lowrank(alpha, size, pot.values(size), "", reflected)
+                    exact = _dense_min(alpha, size, pot, reflected)
+                    assert abs(res.min_eigenvalue - exact) <= 1e-14 * (1.0 + 4.0**alpha)
+                    assert res.converged and res.solver == "tau_lowrank" and res.rank > 0
+
+    @pytest.mark.parametrize(
+        "alpha, size, site, c, reflected",
+        [(1.75, 1000, 3, 1e-3, False), (0.25, 1000, 1, 0.5, True), (1.4, 2000, 2, 1e-2, True)],
+    )
+    def test_large_sections_match_eigh(self, alpha, size, site, c, reflected):
+        pot = green.Potential.delta(site, c)
+        if reflected:
+            (res,) = reflected_witness(alpha, c, site, schedule=(size,)).schedule
+        else:
+            res = min_eig(alpha, size, pot)
+        assert res.solver == "tau_lowrank"
+        exact = _dense_min(alpha, size, pot, reflected)
+        assert abs(res.min_eigenvalue - exact) <= 1e-14 * (1.0 + 4.0**alpha)
+        assert res.converged
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.1, 3.0).filter(lambda a: not float(a).is_integer()),
+        size=st.integers(50, 400),
+        site=st.integers(1, 3),
+        c=st.floats(0.0, 2.0),
+        reflected=st.booleans(),
+    )
+    def test_model_matches_eigh(self, alpha, size, site, c, reflected):
+        pot = green.Potential.delta(site, c)
+        res = probes._probe_tau_lowrank(alpha, size, pot.values(size), "", reflected)
+        exact = _dense_min(alpha, size, pot, reflected)
+        assert abs(res.min_eigenvalue - exact) <= 1e-14 * (1.0 + 4.0**alpha)
+        assert res.converged
+
+    def test_explicit_finite_potential(self, capsys):
+        pot = green.Potential.explicit([0.3, 0.0, 0.7, 0.05], finitely_supported=True)
+        res = min_eig(0.75, 500, pot)
+        assert res.solver == "tau_lowrank"
+        assert abs(res.min_eigenvalue - _dense_min(0.75, 500, pot)) <= 1e-14 * (1.0 + 4.0**0.75)
+        code = cli.main(
+            ["probe-min-eig", "--alpha", "0.75", "--N", "500", "--potential", "explicit:0.3,0,0.7,0.05:finite"]
+        )
+        assert code == 0
+        printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
+        assert float(printed["min_eig"]) == res.min_eigenvalue
+
+    def test_model_eigenvalue_counts_signs_right(self):
+        # D + W diag(signs) W^T with mixed signs, lambda_min below, at and
+        # above the smallest pole: a wrong sign in the inertia count picks
+        # another eigenvalue of the secular matrix
+        rng = np.random.default_rng(5)
+        for trial in range(40):
+            n, r = 60, int(rng.integers(1, 6))
+            d = np.sort(rng.uniform(0.0, 4.0, n))
+            w = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-4, 0)
+            signs = rng.choice([-1.0, 1.0], r)
+            lam, x = probes._model_min_eigenpair(d, w, signs, 4.0 + float((w**2).sum()))
+            h = np.diag(d) + (w * signs) @ w.T
+            exact = np.linalg.eigvalsh(h)[0]
+            assert abs(lam - exact) <= 1e-13 * (1.0 + np.abs(h).sum(axis=1).max()), trial
+            assert np.linalg.norm(h @ x - lam * x) <= 1e-10
+
+    def test_dispatch(self):
+        above, below = probes.TAU_LOWRANK_MIN_SIZE, probes.TAU_LOWRANK_MIN_SIZE - 1
+        assert 200 < above <= 1000
+        delta = green.Potential.delta(1, 0.05)
+        assert min_eig(1.5, above, delta).solver == "tau_lowrank"
+        assert min_eig(1.5, below, delta).solver == "dense"
+        assert min_eig(1.5, above, green.power_hardy_weight(1.25, 0.5)).solver == "dense"
+        assert min_eig(2.0, above, delta).solver == "band"
+        assert min_eig(1.5, below, delta).rank == 0
+
+    def test_probe_critical_never_calls_eigh(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh above the crossover")
+
+        monkeypatch.setattr(probes, "eigh", refuse)
+        n = probes.TAU_LOWRANK_MIN_SIZE
+        schedule = f"{n},{2 * n},{4 * n}"
+        for alpha in ("0.75", "1.5"):
+            argv = ["probe-critical", "--alpha", alpha, "--c", "0.02,0.5", "--schedule", schedule]
+            assert cli.main(argv + ["--format", "json"]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_dense_memory_guard(self, monkeypatch, capsys):
+        # a small section against a pretended 1 MiB of memory: no large allocation
+        monkeypatch.setattr(probes, "_physical_memory", lambda: 2**20)
+        with pytest.raises(ValueError, match="physical memory"):
+            min_eig(1.5, 300, green.Potential.power(0.1, 2.0))
+        code = cli.main(["probe-min-eig", "--alpha", "1.5", "--N", "300", "--potential", "power:0.1:2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: a dense 300 x 300 section needs about")
+        assert captured.err.count("\n") == 1
+        # the low-rank path checks its O(N) working set the same way
+        with pytest.raises(ValueError, match="physical memory"):
+            min_eig(1.5, probes.TAU_LOWRANK_MIN_SIZE, green.Potential.delta(1, 0.1))
 
 
 class TestConvergenceSeries:
