@@ -32,8 +32,6 @@ from .green import (
     weighted_sq_integral_quad,
 )
 from .operators import (
-    Exponent,
-    TruncatedOperator,
     UnsupportedExponentError,
     assemble,
     assemble_reflected,
@@ -58,13 +56,11 @@ __version__ = "0.1.0"
 __all__ = [
     "AdmissibilityResult",
     "ConvergenceSeries",
-    "Exponent",
     "JoukowskiPair",
     "Potential",
     "ProbeResult",
     "QuadratureError",
     "ScanRecord",
-    "TruncatedOperator",
     "UnsupportedExponentError",
     "admissibility_threshold",
     "assemble",

@@ -138,21 +138,16 @@ def _cmd_entry(args):
 
 
 def _cmd_matrix(args):
-    op = operators.assemble(args.alpha, args.N)
+    # the printed text and its Python floats: up to 154 bytes an entry traced (JSON)
+    operators.check_memory(160 * args.N**2, f"printing a {args.N} x {args.N} section")
+    mat = operators.assemble(args.alpha, args.N)
     if args.format == "json":
-        return (
-            json.dumps(
-                {"alpha": args.alpha, "size": op.size, "entries": op.entries.tolist()}
-            ),
-            0,
-        )
+        return json.dumps({"alpha": args.alpha, "size": args.N, "entries": mat.tolist()}), 0
     if args.format == "csv":
         buf = io.StringIO()
-        operators.save_matrix_csv(op, buf)
+        operators.save_matrix_csv(mat, buf)
         return buf.getvalue(), 0
-    rows = "\n".join(
-        " ".join(_fmt(float(v), args.digits) for v in row) for row in op.entries
-    )
+    rows = "\n".join(" ".join(_fmt(float(v), args.digits) for v in row) for row in mat)
     return rows, 0
 
 
@@ -200,7 +195,11 @@ def _cmd_hardy_check(args):
 def _cmd_hardy_weight(args):
     pot = green.power_hardy_weight(args.alpha, args.epsilon)
     pairs = [("coeff", pot.coeff), ("exponent", pot.exponent)]
+    if args.count < 0:
+        raise CliError(f"--count must be >= 0, got {args.count}")
     if args.count:
+        # up to 875 bytes of text and Python objects a row traced (JSON)
+        operators.check_memory(1024 * args.count, f"a table of {args.count} values")
         vals = pot.values(args.count)
         rows = [(n + 1, float(v)) for n, v in enumerate(vals)]
         return _table(["n", "V_n"], rows, args.format, args.digits), 0

@@ -450,6 +450,9 @@ def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, floa
         if pot.site > terms:
             terms = pot.site
         return pot.coeff * g_weight(alpha, pot.site), 0.0
+    # the values, the weights and their temporaries: up to 64 bytes a term
+    # were traced (alpha = 1/2), so 10 float64 a term bound them
+    operators.check_memory(10 * 8 * terms, f"an admissibility series of {terms} terms")
     vals = pot.values(terms)
     products = g_weight_values(alpha, terms) * vals
     # fsum is correctly rounded, so any grouping gives the same sum; it reads

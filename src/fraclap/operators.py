@@ -1,30 +1,26 @@
 """Matrix entries and finite sections of powers of the discrete Laplacian.
 
 The operator acts on square-summable sequences over {1,2,...} with the
-Dirichlet convention u_0 = 0.  For positive powers the entries follow the
-closed form
-
-    A(alpha)_{m,n} = (-1)^{m+n} [ C(2a, a+m-n) - C(2a, a+m+n) ],  a = alpha,
-
-with C the generalized binomial; the two negative powers -1/2 and -1
-have their own closed forms (digamma expression and min(m,n)).  Entries
-are Toeplitz-minus-Hankel in (m-n, m+n), which the assembler exploits.
+Dirichlet convention u_0 = 0.  Every supported power (finite alpha > 0, or
+alpha in {-1/2, -1}) is Toeplitz-minus-Hankel, A(alpha)_{m,n} = c[|m-n|] -
+c[m+n], with one coefficient sequence c per power: (-1)^k C(2a, a+k) for
+a = alpha > 0 (C the generalized binomial), -k/2 for alpha = -1 (so that
+A = min(m, n)), and -(psi(1/2+k) + psi(1/2-k)) / (2 pi) for alpha = -1/2.
+Entries, sections, band storage and the FFT product all read that sequence.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import os
 from typing import IO, Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as sfft
 from scipy import special as sp
-from scipy.linalg import hankel, toeplitz
 
 from . import quadrature
-
-SPECIAL_NEGATIVE = (-0.5, -1.0)
 
 #: columns per FFT pass of :func:`section_product`: its length-3N work
 #: arrays then stay small next to the N x columns input and output
@@ -35,46 +31,42 @@ class UnsupportedExponentError(ValueError):
     """alpha outside the supported set: alpha > 0 or alpha in {-1/2, -1}."""
 
 
-@dataclass(frozen=True)
-class Exponent:
-    """A validated power of the Laplacian with its regime classification."""
-
-    alpha: float
-
-    def __post_init__(self):
-        a = self.alpha
-        if not ((math.isfinite(a) and a > 0.0) or a in SPECIAL_NEGATIVE):
-            raise UnsupportedExponentError(
-                f"alpha={a}: only finite positive powers and the special values "
-                f"-1/2 and -1 are supported"
-            )
-
-    @property
-    def special_negative(self) -> bool:
-        return self.alpha in SPECIAL_NEGATIVE
-
-    @property
-    def regime(self) -> str:
-        if self.special_negative:
-            return "special_negative"
-        return "critical" if self.alpha >= 1.5 else "subcritical"
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """A dense symmetric finite section, immutable once assembled."""
-
-    size: int
-    entries: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
+def _check_exponent(alpha: float) -> None:
+    """Reject alpha unless it is a finite positive power, -1/2 or -1."""
+    if not ((math.isfinite(alpha) and alpha > 0.0) or alpha in (-0.5, -1.0)):
+        raise UnsupportedExponentError(
+            f"alpha={alpha}: only finite positive powers and the special values "
+            f"-1/2 and -1 are supported"
+        )
 
 
 def check_positive_power(alpha: float) -> None:
     """Reject alpha unless it is a finite positive power."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise UnsupportedExponentError(f"alpha={alpha!r} must be finite and > 0")
+
+
+def _check_indices(m, n) -> None:
+    """Reject indices unless 1 <= m, n and m + n < 2^52, below which float64 holds m + n."""
+    if np.any(m < 1) or np.any(n < 1):
+        raise ValueError("indices are 1-based: m, n >= 1")
+    if np.any(m >= 2**52 - n):
+        raise ValueError("indices need m + n < 2**52, the range float64 holds exactly")
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Refuse a working set larger than physical memory with a ValueError."""
+    have = _physical_memory()
+    if nbytes > have:
+        raise ValueError(
+            f"{what} needs about {nbytes / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def is_banded(alpha: float) -> bool:
@@ -86,96 +78,65 @@ def is_banded(alpha: float) -> bool:
     return alpha > 0.0 and float(alpha).is_integer()
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction (accurate for large |x|)."""
-    r = x - round(x)
-    s = math.sin(math.pi * r)
-    return -s if round(x) % 2 else s
-
-
 def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
-    """(-1)^k C(2*alpha, alpha+k) for integer k >= 0, vectorized.
+    """c[k] with A(alpha)_{m,n} = c[|m-n|] - c[m+n], for integers k >= 0.
 
-    Computed in log-Gamma space; for k > alpha the reflection formula
-    turns the Gamma at the negative argument alpha-k+1 into
-    (-1)^(k+1) sin(pi*alpha) Gamma(k-alpha) / pi, so no overflow occurs
-    for any section size.
+    alpha = -1 and -1/2 take the sequences of the module docstring.  For
+    alpha > 0, c[k] = (-1)^k C(2*alpha, alpha+k): exact binomials for
+    integer powers, log-Gamma space for the others, where for k > alpha the
+    reflection formula turns the Gamma at the negative argument alpha-k+1
+    into (-1)^(k+1) sin(pi*alpha) Gamma(k-alpha) / pi, so no overflow
+    occurs for any section size.
     """
     k = np.asarray(k, dtype=float)
-    out = np.empty_like(k)
+    if alpha == -1.0:
+        return -0.5 * k
+    if alpha == -0.5:
+        return -(sp.psi(0.5 + k) + sp.psi(0.5 - k)) / (2.0 * math.pi)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
     if is_banded(alpha):
-        # integer power: plain binomials, exact in floats (no log round trip)
         a = int(alpha)
-        for i, kf in enumerate(k.ravel()):
-            ki = int(kf)
-            val = float(math.comb(2 * a, a + ki)) if ki <= a else 0.0
-            out.ravel()[i] = -val if ki % 2 else val
-        return out
+        binom = np.array([float(math.comb(2 * a, a + j)) for j in range(a + 1)] + [0.0])
+        return sign * binom[np.minimum(k, a + 1).astype(int)]
+    out = np.empty_like(k)
     lg_top = math.lgamma(2.0 * alpha + 1.0)
     direct = alpha - k + 1.0 > 0.0
-    if np.any(direct):
-        kd = k[direct]
-        sign = np.where(kd.astype(int) % 2 == 0, 1.0, -1.0)
-        out[direct] = sign * np.exp(
-            lg_top - sp.gammaln(alpha + kd + 1.0) - sp.gammaln(alpha - kd + 1.0)
-        )
-    rest = ~direct
-    if np.any(rest):
-        kr = k[rest]
-        out[rest] = -(_sinpi(alpha) / math.pi) * np.exp(
-            lg_top + sp.gammaln(kr - alpha) - sp.gammaln(alpha + kr + 1.0)
-        )
+    kd, kr = k[direct], k[~direct]
+    out[direct] = sign[direct] * np.exp(
+        lg_top - sp.gammaln(alpha + kd + 1.0) - sp.gammaln(alpha - kd + 1.0)
+    )
+    # sin(pi*alpha), argument-reduced so that it stays accurate for large alpha
+    sin_pi = (-1) ** round(alpha) * math.sin(math.pi * (alpha - round(alpha)))
+    out[~direct] = -(sin_pi / math.pi) * np.exp(
+        lg_top + sp.gammaln(kr - alpha) - sp.gammaln(alpha + kr + 1.0)
+    )
     return out
 
 
-def _entry_neg_half_diag(k: np.ndarray) -> np.ndarray:
-    """T(k) = [psi(1/2+k) + psi(1/2-k)] / [Gamma(1/2+k) Gamma(1/2-k)].
-
-    The Gamma product equals (-1)^k pi exactly (reflection at half
-    integers), which keeps the expression stable for large k.
-    """
-    k = np.asarray(k, dtype=float)
-    psum = sp.psi(0.5 + k) + sp.psi(0.5 - k)
-    sign = np.where(k.astype(int) % 2 == 0, 1.0, -1.0)
-    return sign * psum / math.pi
-
-
-def entry(alpha: float | Exponent, m: int, n: int) -> float:
-    """Matrix entry A(alpha)_{m,n} for m, n >= 1."""
-    exp_ = alpha if isinstance(alpha, Exponent) else Exponent(alpha)
-    if m < 1 or n < 1:
-        raise ValueError("indices are 1-based: m, n >= 1")
-    a = exp_.alpha
-    if a == -1.0:
-        return float(min(m, n))
-    if a == -0.5:
-        t = _entry_neg_half_diag(np.array([m + n, m - n]))
-        sign = 1.0 if (m + n) % 2 == 0 else -1.0
-        return float(0.5 * sign * (t[0] - t[1]))
-    c = _signed_coeff(a, np.array([abs(m - n), m + n]))
+def entry(alpha: float, m: int, n: int) -> float:
+    """Matrix entry A(alpha)_{m,n} for m, n >= 1 with m + n < 2^52."""
+    _check_exponent(alpha)
+    _check_indices(m, n)
+    c = _signed_coeff(alpha, np.array([abs(m - n), m + n]))
     return float(c[0] - c[1])
 
 
-def assemble(alpha: float | Exponent, size: int) -> TruncatedOperator:
-    """The leading size x size section of A(alpha), symmetric by construction."""
-    exp_ = alpha if isinstance(alpha, Exponent) else Exponent(alpha)
+def assemble(alpha: float, size: int) -> np.ndarray:
+    """The leading size x size section of A(alpha), read-only.
+
+    T - H from two strided views of the coefficients: row i of T is a
+    window of c[N-1..1], c[0..N-1] read backwards, row i of H one of
+    c[2..2N].  The subtraction is the only N x N allocation.
+    """
+    _check_exponent(alpha)
     if size < 1:
         raise ValueError("size must be >= 1")
-    a = exp_.alpha
-    if a == -1.0:
-        idx = np.arange(1, size + 1)
-        mat = np.minimum.outer(idx, idx).astype(float)
-    elif a == -0.5:
-        t = _entry_neg_half_diag(np.arange(0, 2 * size + 1))
-        idx = np.arange(1, size + 1)
-        parity = np.where(np.add.outer(idx, idx) % 2 == 0, 1.0, -1.0)
-        t_sum = hankel(t[2 : size + 2], t[size + 1 : 2 * size + 1])
-        t_diff = toeplitz(t[:size])
-        mat = 0.5 * parity * (t_sum - t_diff)
-    else:
-        c = section_coefficients(a, size)
-        mat = toeplitz(c[:size]) - hankel(c[2 : size + 2], c[size + 1 : 2 * size + 1])
-    return TruncatedOperator(size=size, entries=mat)
+    check_memory(8 * size * size, f"a dense {size} x {size} section")
+    c = section_coefficients(alpha, size)
+    mirrored = np.concatenate([c[size - 1 : 0 : -1], c[:size]])
+    mat = sliding_window_view(mirrored, size)[::-1] - sliding_window_view(c[2:], size)
+    mat.setflags(write=False)
+    return mat
 
 
 def section_coefficients(alpha: float, size: int) -> np.ndarray:
@@ -216,40 +177,33 @@ def section_product(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return product
 
 
-def assemble_band(alpha: float | Exponent, size: int) -> np.ndarray:
+def assemble_band(alpha: float, size: int) -> np.ndarray:
     """Lower band storage of the size x size section of an integer power.
 
-    Row d holds the d-th subdiagonal, ``ab[d, j] = A[j+d, j]``, zero padded
-    at the end; there are min(alpha, size-1) + 1 rows.  The entries are the
-    Toeplitz diagonals c[d] minus the Hankel corner c[m+n] (1-based
-    m >= n, m + n <= alpha), the only nonzero Hankel terms, since c[k]
-    vanishes for k > alpha.  They equal those of :func:`assemble` bit for
+    Row d holds the d-th subdiagonal, ``ab[d, j] = A[j+d, j] = c[d] -
+    c[2j+d+2]``, zero padded at the end; there are min(alpha, size-1) + 1
+    rows.  c vanishes beyond alpha, so the Hankel term only touches the
+    top-left corner.  The entries equal those of :func:`assemble` bit for
     bit, without an N x N allocation.
     """
-    exp_ = alpha if isinstance(alpha, Exponent) else Exponent(alpha)
-    a = exp_.alpha
-    if not is_banded(a):
+    if not is_banded(alpha):
         raise UnsupportedExponentError("band storage needs a positive integer power")
     if size < 1:
         raise ValueError("size must be >= 1")
-    width = int(a)
-    c = _signed_coeff(a, np.arange(width + 1))
-    ab = np.zeros((min(width, size - 1) + 1, size))
+    c = section_coefficients(alpha, size)
+    ab = np.zeros((min(int(alpha), size - 1) + 1, size))
     for d in range(ab.shape[0]):
-        ab[d, : size - d] = c[d]
-    for n in range(1, width // 2 + 1):
-        for m in range(n, min(width - n, size) + 1):
-            ab[m - n, n - 1] -= c[m + n]
+        ab[d, : size - d] = c[d] - c[d + 2 : 2 * size - d + 1 : 2]
     return ab
 
 
-def assemble_reflected(alpha: float | Exponent, size: int) -> TruncatedOperator:
-    """Section of 4^alpha * I - A(alpha); requires a positive power."""
-    exp_ = alpha if isinstance(alpha, Exponent) else Exponent(alpha)
-    check_positive_power(exp_.alpha)
-    base = assemble(exp_, size)
-    mat = 4.0**exp_.alpha * np.eye(size) - base.entries
-    return TruncatedOperator(size=size, entries=mat)
+def assemble_reflected(alpha: float, size: int) -> np.ndarray:
+    """Section of 4^alpha * I - A(alpha), read-only; requires a positive power."""
+    check_positive_power(alpha)
+    base = assemble(alpha, size)
+    mat = 4.0**alpha * np.eye(size) - base
+    mat.setflags(write=False)
+    return mat
 
 
 def sine_indices(m, n):
@@ -259,8 +213,7 @@ def sine_indices(m, n):
     the rows of each (m, n) pair from that table.
     """
     m, n = np.broadcast_arrays(m, n)
-    if np.any(m < 1) or np.any(n < 1):
-        raise ValueError("indices are 1-based: m, n >= 1")
+    _check_indices(m, n)
     ks = np.unique(np.concatenate([m.ravel(), n.ravel()]))
     return ks, np.searchsorted(ks, m.ravel()), np.searchsorted(ks, n.ravel())
 
@@ -301,8 +254,8 @@ def entry_oracle(alpha: float, m, n, tol: float = 1e-12):
     return val.reshape(shape) if shape else float(val[0])
 
 
-def save_matrix_csv(op: TruncatedOperator, fh: IO[str]) -> None:
+def save_matrix_csv(mat: np.ndarray, fh: IO[str]) -> None:
     """Row-major CSV with 17 significant digits (round-trip safe)."""
-    for row in op.entries:
+    for row in mat:
         fh.write(",".join(f"{v:.17g}" for v in row))
         fh.write("\n")

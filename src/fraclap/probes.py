@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +55,11 @@ _ROOT_STEPS = 100
 #: probe's memory: at N = 10^5 it peaked 324 MB above the interpreter's
 #: (with 64 samples), against the 5 * 8 * 3N * 36 = 430 MB estimated
 _LOWRANK_COPIES = 5
+
+#: float64 rows of N per band row alive during a banded probe: the band,
+#: its negation, the general band storage of the solves and LAPACK's copies
+#: (212 and 428 bytes a site traced at alpha = 2 and 5, with N = 10^5)
+_BAND_COPIES = 9
 
 #: N x N float64 arrays alive at once during a dense probe: the section and
 #: its shifted copy, or the shifted copy and LAPACK's working copy (15.6 MB
@@ -331,10 +335,6 @@ def _probe_tau_lowrank(
     true section, so truncation error shows in ``converged``.  The reflected
     section is tau_N(4^alpha - f) - E_N.
     """
-    _check_memory(
-        _LOWRANK_COPIES * 8 * 3 * size * (_LOWRANK_SAMPLES + _LOWRANK_PROBES),
-        f"a low-rank probe of a {size}-site section",
-    )
     scale = 4.0**alpha
     coeffs = operators.section_coefficients(alpha, size)
     product = operators.section_product(coeffs)
@@ -359,21 +359,6 @@ def _probe_tau_lowrank(
     return _result(alpha, size, descriptor, lam_min, residual, norm_scale, "tau_lowrank", lam.size)
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
-def _check_memory(nbytes: int, what: str) -> None:
-    """Refuse a working set larger than physical memory with a ValueError."""
-    have = _physical_memory()
-    if nbytes > have:
-        raise ValueError(
-            f"{what} needs about {nbytes / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
-
-
 def _section_probe(
     alpha: float, size: int, pot: green.Potential, descriptor: str, reflected: bool = False
 ) -> ProbeResult:
@@ -387,20 +372,34 @@ def _section_probe(
     * other powers with a potential on at most _LOWRANK_MAX_SUPPORT sites
       and size >= TAU_LOWRANK_MIN_SIZE go to :func:`_probe_tau_lowrank`;
     * the rest (smaller sections, power Hardy weights) is solved dense.
+
+    Each path's working set is checked against physical memory before it
+    is formed, the potential's values included.
     """
+    banded = operators.is_banded(alpha)
+    lowrank = not banded and size >= TAU_LOWRANK_MIN_SIZE
+    if banded:
+        operators.check_memory(
+            _BAND_COPIES * 8 * size * (int(alpha) + 1), f"a banded {size}-site section"
+        )
+    elif lowrank:  # the cheaper of the two remaining paths
+        operators.check_memory(
+            _LOWRANK_COPIES * 8 * 3 * size * (_LOWRANK_SAMPLES + _LOWRANK_PROBES),
+            f"a low-rank probe of a {size}-site section",
+        )
     values = pot.values(size)
-    if operators.is_banded(alpha):
+    if banded:
         ab = operators.assemble_band(alpha, size)
         if reflected:
             ab = -ab
             ab[0] += 4.0**alpha
         ab[0] -= values
         return _probe_band(alpha, ab, descriptor)
-    if size >= TAU_LOWRANK_MIN_SIZE and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
+    if lowrank and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
         return _probe_tau_lowrank(alpha, size, values, descriptor, reflected)
-    _check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
+    operators.check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
     assemble = operators.assemble_reflected if reflected else operators.assemble
-    mat = assemble(alpha, size).entries.copy()
+    mat = assemble(alpha, size).copy()
     mat[np.diag_indices(size)] -= values
     return _probe_dense(alpha, mat, descriptor)
 

@@ -35,7 +35,7 @@ def suite_entry_oracle(max_index: int = 30) -> SuiteResult:
     worst = 0.0
     m, n = np.triu_indices(max_index)
     for alpha in ENTRY_ALPHAS:
-        section = operators.assemble(alpha, max_index).entries
+        section = operators.assemble(alpha, max_index)
         oracle = operators.entry_oracle(alpha, m + 1, n + 1, tol=1e-11)
         worst = max(worst, float(np.max(np.abs(section[m, n] - oracle))))
     return SuiteResult("entry_vs_oracle", worst <= 1e-9, worst, 1e-9)
@@ -44,16 +44,16 @@ def suite_entry_oracle(max_index: int = 30) -> SuiteResult:
 def suite_base_cases(size: int = 50) -> SuiteResult:
     """First power tridiagonal, squared power as padded product, inverse as min."""
     worst = 0.0
-    first = operators.assemble(1.0, size).entries
+    first = operators.assemble(1.0, size)
     expected = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
     exact_first = bool(np.array_equal(first, expected))
 
-    padded = operators.assemble(1.0, size + 2).entries
+    padded = operators.assemble(1.0, size + 2)
     squared = (padded @ padded)[:size, :size]
-    worst = max(worst, float(np.max(np.abs(operators.assemble(2.0, size).entries - squared))))
+    worst = max(worst, float(np.max(np.abs(operators.assemble(2.0, size) - squared))))
 
     idx = np.arange(1, size + 1)
-    inverse = operators.assemble(-1.0, size).entries
+    inverse = operators.assemble(-1.0, size)
     exact_inverse = bool(np.array_equal(inverse, np.minimum.outer(idx, idx).astype(float)))
 
     passed = exact_first and exact_inverse and worst <= 1e-10

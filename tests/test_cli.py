@@ -153,6 +153,21 @@ _FIXED_OUTPUTS = [
         "-1.2849311429176635e-07,5.7166279697842794e-06,negative_beyond_resolution\n",
     ),
     (("selftest",), _SELFTEST_TABLE),
+    # the negative powers and an integer section, with its signed zero corner
+    (("entry", "--alpha", "-0.5", "--m", "3", "--n", "5"), "0.43829176114248947\n"),
+    (("entry", "--alpha", "-1", "--m", "4", "--n", "7"), "4\n"),
+    (
+        ("matrix", "--alpha", "-0.5", "--N", "4", "--format", "csv"),
+        "0.84882636315677518,0.33953054526271009,0.21826963624031359,0.16168121202986196\n"
+        "0.33953054526271009,1.0670959993970888,0.50121175729257206,0.34687969126406737\n"
+        "0.21826963624031359,0.50121175729257206,1.1957060544208424,0.60805703377384435\n"
+        "0.16168121202986196,0.34687969126406737,0.60805703377384435,1.2871181242992646\n",
+    ),
+    (("matrix", "--alpha", "-1", "--N", "3"), "1 1 1\n1 2 2\n1 2 3\n"),
+    (
+        ("matrix", "--alpha", "2", "--N", "4", "--format", "csv"),
+        "5,-4,1,0\n-4,6,-4,1\n1,-4,6,-4\n0,1,-4,6\n",
+    ),
 ]
 
 
@@ -439,7 +454,7 @@ class TestMatrixCommand:
         assert out == ""  # routed to the file
         with open(path) as fh:
             loaded = np.loadtxt(fh, delimiter=",", ndmin=2)
-        expected = operators.assemble(0.75, 6).entries
+        expected = operators.assemble(0.75, 6)
         assert np.array_equal(loaded, expected)
 
     def test_json_structure(self, capsys):
@@ -544,6 +559,18 @@ class TestExitCodes:
             ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1", "--tol", "nan"),
             ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1", "--tol", "-1"),
             ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1", "--tol", "inf"),
+            # sizes beyond physical memory, refused before anything is allocated
+            ("probe-min-eig", "--alpha", "1.5", "--N", "1000000000000", "--potential", "delta:1:0.1"),
+            ("probe-min-eig", "--alpha", "2", "--N", "1000000000000"),
+            ("probe-critical", "--alpha", "2", "--c", "1", "--schedule", "100000000000"),
+            ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "100000000000"),
+            ("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5", "--count", "100000000000"),
+            ("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5", "--count", "-3"),
+            ("matrix", "--alpha", "0.5", "--N", "1000000"),
+            # m + n beyond 2^52, where float64 stops holding indices exactly
+            ("green", "--alpha", "0.75", "--m", "100000000000000000000", "--n", "1", "--lam", "-1"),
+            ("entry", "--alpha", "-0.5", "--m", "100000000000000000000", "--n", "1"),
+            ("entry", "--alpha", "-1", "--m", "9007199254740993", "--n", "9007199254740993"),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -134,7 +134,7 @@ class TestWeightedMoment:
 class TestGreenEntry:
     def test_first_power_against_linear_solve(self):
         size = 2000
-        tri = operators.assemble(1.0, size).entries
+        tri = operators.assemble(1.0, size)
         lam = -1.0
         col = np.linalg.solve(tri - lam * np.eye(size), np.eye(size, 1)[:, 0])
         assert green_entry(1.0, 1, 1, lam) == pytest.approx(col[0], abs=1e-12)

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclap.operators import (
-    Exponent,
     UnsupportedExponentError,
     assemble,
     assemble_band,
@@ -21,22 +22,17 @@ from fraclap.operators import (
 
 
 class TestExponent:
-    def test_regimes(self):
-        assert Exponent(1.0).regime == "subcritical"
-        assert Exponent(1.5).regime == "critical"
-        assert Exponent(2.0).regime == "critical"
-        assert Exponent(-1.0).regime == "special_negative"
-        assert Exponent(-0.5).regime == "special_negative"
-
     def test_rejects_unsupported(self):
         for bad in (0.0, -0.25, -2.0, -1.5, math.inf, math.nan):
             with pytest.raises(UnsupportedExponentError):
-                Exponent(bad)
+                entry(bad, 1, 1)
+            with pytest.raises(UnsupportedExponentError):
+                assemble(bad, 3)
 
 
 class TestFirstPower:
     def test_tridiagonal_exact(self):
-        mat = assemble(1.0, 40).entries
+        mat = assemble(1.0, 40)
         expected = 2.0 * np.eye(40) - np.eye(40, k=1) - np.eye(40, k=-1)
         assert np.array_equal(mat, expected)
 
@@ -50,9 +46,9 @@ class TestIntegerPowers:
     @pytest.mark.parametrize("power", [2, 3])
     def test_padded_product_consistency(self, power):
         size = 30
-        first = assemble(1.0, size + power).entries
+        first = assemble(1.0, size + power)
         product = np.linalg.matrix_power(first, power)[:size, :size]
-        direct = assemble(float(power), size).entries
+        direct = assemble(float(power), size)
         assert np.max(np.abs(direct - product)) <= 1e-10
 
     @pytest.mark.parametrize("power", [1, 2, 3, 4])
@@ -60,7 +56,7 @@ class TestIntegerPowers:
         for size in (1, 2, 3, 4, 5, 9, 40):
             ab = assemble_band(float(power), size)
             assert ab.shape == (min(power, size - 1) + 1, size)
-            dense = assemble(float(power), size).entries
+            dense = assemble(float(power), size)
             for d in range(ab.shape[0]):
                 assert np.array_equal(ab[d, : size - d], np.diagonal(dense, -d))
                 assert not np.any(ab[d, size - d :])
@@ -73,7 +69,7 @@ class TestIntegerPowers:
             assemble_band(2.0, 0)
 
     def test_band_structure(self):
-        mat = assemble(3.0, 20).entries
+        mat = assemble(3.0, 20)
         for m in range(20):
             for n in range(20):
                 if abs(m - n) > 3:
@@ -82,7 +78,7 @@ class TestIntegerPowers:
 
 class TestNegativePowers:
     def test_inverse_is_min(self):
-        mat = assemble(-1.0, 25).entries
+        mat = assemble(-1.0, 25)
         idx = np.arange(1, 26)
         assert np.array_equal(mat, np.minimum.outer(idx, idx).astype(float))
 
@@ -100,7 +96,7 @@ class TestNegativePowers:
         target = np.minimum.outer(idx, idx).astype(float)
         errs = []
         for size in (200, 400, 800):
-            half = assemble(-0.5, size).entries
+            half = assemble(-0.5, size)
             errs.append(np.max(np.abs((half @ half)[:8, :8] - target)))
         assert errs[2] < errs[1] < errs[0]
         assert errs[2] <= 0.04
@@ -108,15 +104,15 @@ class TestNegativePowers:
 
     def test_half_power_times_half_inverse(self):
         # A(1/2) A(-1/2) ~ identity in the interior, fast truncation decay
-        plus = assemble(0.5, 400).entries
-        minus = assemble(-0.5, 400).entries
+        plus = assemble(0.5, 400)
+        minus = assemble(-0.5, 400)
         prod = plus @ minus
         assert np.max(np.abs(prod[:8, :8] - np.eye(400)[:8, :8])) <= 1e-6
 
     def test_functional_inverse(self):
         # A(1) A(-1) = I up to the boundary row at the truncation edge
-        lap = assemble(1.0, 60).entries
-        inv = assemble(-1.0, 60).entries
+        lap = assemble(1.0, 60)
+        inv = assemble(-1.0, 60)
         prod = lap @ inv
         assert np.max(np.abs(prod[:59, :59] - np.eye(59))) <= 1e-12
 
@@ -129,9 +125,21 @@ class TestFractionalEntries:
             oracle = entry_oracle(alpha, m, n)
             assert closed == pytest.approx(oracle, abs=1e-10)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        alpha=st.one_of(
+            st.sampled_from([-1.0, -0.5, 1.0, 2.0, 3.0]),
+            st.floats(0.05, 3.0, exclude_min=True),
+        ),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+    )
+    def test_entry_matches_oracle_property(self, alpha, m, n):
+        assert entry(alpha, m, n) == pytest.approx(entry_oracle(alpha, m, n), abs=1e-9)
+
     def test_symmetry(self):
         for alpha in (0.5, 1.3, 2.2):
-            mat = assemble(alpha, 30).entries
+            mat = assemble(alpha, 30)
             assert np.max(np.abs(mat - mat.T)) == 0.0
 
     def test_row_decay(self):
@@ -147,7 +155,7 @@ class TestFractionalEntries:
     def test_spectral_containment(self):
         # eigenvalues of any section lie in [0, 4^alpha]
         for alpha in (0.5, 1.0, 1.75):
-            w = np.linalg.eigvalsh(assemble(alpha, 200).entries)
+            w = np.linalg.eigvalsh(assemble(alpha, 200))
             assert w[0] >= -1e-10
             assert w[-1] <= 4.0**alpha + 1e-10
 
@@ -156,17 +164,24 @@ class TestFractionalEntries:
             entry(1.0, 0, 1)
         with pytest.raises(ValueError):
             assemble(1.0, 0)
+        # m + n must stay below 2^52, where float64 still holds it exactly
+        assert entry(-1.0, 2**51, 2**51 - 1) == 2**51 - 1
+        for alpha in (-1.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="2\\*\\*52"):
+                entry(alpha, 2**51, 2**51)
+        with pytest.raises(ValueError, match="2\\*\\*52"):
+            entry_oracle(0.75, 10**20, 1)
 
 
 class TestReflected:
     def test_definition(self):
         alpha = 1.5
-        base = assemble(alpha, 25).entries
-        refl = assemble_reflected(alpha, 25).entries
+        base = assemble(alpha, 25)
+        refl = assemble_reflected(alpha, 25)
         assert np.max(np.abs(refl - (4.0**alpha * np.eye(25) - base))) == 0.0
 
     def test_positive_spectrum(self):
-        refl = assemble_reflected(2.0, 150).entries
+        refl = assemble_reflected(2.0, 150)
         w = np.linalg.eigvalsh(refl)
         assert w[0] >= -1e-10
 
@@ -182,12 +197,12 @@ class TestSerialization:
         save_matrix_csv(op, buf)
         buf.seek(0)
         back = np.loadtxt(buf, delimiter=",", ndmin=2)
-        assert np.array_equal(back, op.entries)
+        assert np.array_equal(back, op)
 
     def test_entries_read_only(self):
-        op = assemble(1.0, 5)
-        with pytest.raises(ValueError):
-            op.entries[0, 0] = 99.0
+        for mat in (assemble(1.0, 5), assemble(0.75, 5), assemble_reflected(1.5, 5)):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 99.0
 
 
 class TestSectionProduct:
@@ -197,7 +212,7 @@ class TestSectionProduct:
     @pytest.mark.parametrize("size", [1, 2, 3, 17, 300])
     def test_matches_assembled_section(self, alpha, size):
         x = np.random.default_rng(size).standard_normal((size, 3))
-        mat = assemble(alpha, size).entries
+        mat = assemble(alpha, size)
         product = section_product(section_coefficients(alpha, size))
         scale = 4.0**alpha * np.abs(x).sum(axis=0).max()
         assert np.abs(product(x) - mat @ x).max() <= 1e-15 * scale * max(1.0, math.log2(size))
@@ -205,7 +220,7 @@ class TestSectionProduct:
 
     def test_coefficients_are_the_assembled_ones(self):
         c = section_coefficients(1.25, 40)
-        mat = assemble(1.25, 40).entries
+        mat = assemble(1.25, 40)
         assert c.shape == (81,)
         assert c[0] - c[2] == mat[0, 0]
         assert c[5] - c[40 + 35] == mat[39, 34]

@@ -76,7 +76,7 @@ class TestIntegerBandPath:
     def test_matches_dense_eigh(self, alpha, size, site, c):
         pot = green.Potential.delta(site, c)
         res = min_eig(alpha, size, pot)
-        dense = operators.assemble(alpha, size).entries - np.diag(pot.values(size))
+        dense = operators.assemble(alpha, size) - np.diag(pot.values(size))
         exact = np.linalg.eigvalsh(dense)[0]
         assert abs(res.min_eigenvalue - exact) <= 1e-12 * (1.0 + 4.0**alpha)
         assert res.converged
@@ -91,7 +91,7 @@ class TestIntegerBandPath:
     def test_reflected_matches_dense_eigh(self, alpha, sizes, site, c):
         rec = reflected_witness(alpha, c, site, schedule=tuple(sizes))
         for n, res in zip(sizes, rec.schedule):
-            dense = operators.assemble_reflected(alpha, n).entries
+            dense = operators.assemble_reflected(alpha, n)
             dense = dense - np.diag(green.Potential.delta(site, c).values(n))
             exact = np.linalg.eigvalsh(dense)[0]
             assert abs(res.min_eigenvalue - exact) <= 1e-12 * (1.0 + 4.0**alpha)
@@ -113,7 +113,7 @@ class TestIntegerBandPath:
 
 def _dense_min(alpha, size, pot, reflected=False):
     assemble = operators.assemble_reflected if reflected else operators.assemble
-    return np.linalg.eigvalsh(assemble(alpha, size).entries - np.diag(pot.values(size)))[0]
+    return np.linalg.eigvalsh(assemble(alpha, size) - np.diag(pot.values(size)))[0]
 
 
 class TestTauLowrankPath:
@@ -216,7 +216,7 @@ class TestTauLowrankPath:
 
     def test_dense_memory_guard(self, monkeypatch, capsys):
         # a small section against a pretended 1 MiB of memory: no large allocation
-        monkeypatch.setattr(probes, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(operators, "_physical_memory", lambda: 2**20)
         with pytest.raises(ValueError, match="physical memory"):
             min_eig(1.5, 300, green.Potential.power(0.1, 2.0))
         code = cli.main(["probe-min-eig", "--alpha", "1.5", "--N", "300", "--potential", "power:0.1:2"])
