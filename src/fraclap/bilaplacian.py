@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
-from scipy.optimize import brentq
 
 #: the essential spectrum of the squared operator
 SPECTRUM_TOP = 16.0
@@ -195,6 +194,8 @@ def lambda_bound_state(site: int, c: float, tol: float = 1e-14) -> float:
     eigenvalue is -s^4/((1-s)(2-s)^2), so relative accuracy in s carries
     over to lam even when lam underflows the scale of c).
     """
+    from scipy.optimize import brentq
+
     if site < 1:
         raise ValueError("site >= 1 required")
     _check_coupling(c)

@@ -18,9 +18,7 @@ import sys
 
 import numpy as np
 
-from . import bilaplacian, green, operators, probes, quadrature, selfcheck
-
-DEFAULT_SCHEDULE = ",".join(map(str, probes.DEFAULT_SCHEDULE))
+from . import quadrature
 
 
 class CliError(ValueError):
@@ -42,14 +40,16 @@ def parse_grid(spec: str) -> list[float]:
     try:
         if spec.startswith("logspace:"):
             _, a, b, k = spec.split(":")
-            return [float(v) for v in np.geomspace(float(a), float(b), int(k))]
+            # ends of opposite signs: numpy's log10 of the negative end is invalid
+            with np.errstate(invalid="raise"):
+                return [float(v) for v in np.geomspace(float(a), float(b), int(k))]
         if "," in spec:
             return [float(x) for x in spec.split(",")]
         if ":" in spec:
             a, b, k = spec.split(":")
             return [float(v) for v in np.linspace(float(a), float(b), int(k))]
         return [float(spec)]
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, FloatingPointError) as exc:
         raise CliError(f"bad grid spec {spec!r}") from exc
 
 
@@ -63,9 +63,18 @@ def parse_schedule(spec: str) -> tuple[int, ...]:
     return sched
 
 
+def _schedule(args) -> tuple[int, ...]:
+    """The --schedule flag, or the probes' default schedule without it."""
+    from . import probes
+
+    return probes.DEFAULT_SCHEDULE if args.schedule is None else parse_schedule(args.schedule)
+
+
 def parse_potential(spec: str) -> green.Potential:
     """Potential specs: classical_hardy | kpp | zero | delta:site:c |
     power:coeff:exponent | explicit:v1,v2,...[:finite]"""
+    from . import green
+
     parts = spec.split(":")
     kind = parts[0]
     try:
@@ -134,10 +143,14 @@ def _table(header, rows, fmt: str, digits: int) -> str:
 
 
 def _cmd_entry(args):
+    from . import operators
+
     return _fmt(operators.entry(args.alpha, args.m, args.n), args.digits), 0
 
 
 def _cmd_matrix(args):
+    from . import operators
+
     # the printed text and its Python floats: up to 154 bytes an entry traced (JSON)
     operators.check_memory(160 * args.N**2, f"printing a {args.N} x {args.N} section")
     mat = operators.assemble(args.alpha, args.N)
@@ -152,11 +165,15 @@ def _cmd_matrix(args):
 
 
 def _cmd_green(args):
+    from . import green
+
     val = green.green_entry(args.alpha, args.m, args.n, _parse_lambda(args.lam), args.tol)
     return _fmt(val, args.digits), 0
 
 
 def _cmd_gn(args):
+    from . import green
+
     ns = [int(v) for v in parse_grid(args.n)]
     if len(ns) == 1:
         return _fmt(green.g_weight(args.alpha, ns[0]), args.digits), 0
@@ -165,6 +182,8 @@ def _cmd_gn(args):
 
 
 def _cmd_in(args):
+    from . import green
+
     ns = [int(v) for v in parse_grid(args.n)]
     if len(ns) == 1:
         return _fmt(green.weighted_sq_integral(args.alpha, ns[0]), args.digits), 0
@@ -173,6 +192,8 @@ def _cmd_in(args):
 
 
 def _cmd_bounds(args):
+    from . import green
+
     pairs = [
         ("C_alpha", green.rough_bound_const(args.alpha)),
         ("rough", green.uniform_bound_rough(args.alpha, args.m, args.n)),
@@ -182,6 +203,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_hardy_check(args):
+    from . import green
+
     res = green.theorem2_check(args.alpha, parse_potential(args.potential), args.tail_terms)
     pairs = [
         ("decision", res.decision),
@@ -193,6 +216,8 @@ def _cmd_hardy_check(args):
 
 
 def _cmd_hardy_weight(args):
+    from . import green, operators
+
     pot = green.power_hardy_weight(args.alpha, args.epsilon)
     pairs = [("coeff", pot.coeff), ("exponent", pot.exponent)]
     if args.count < 0:
@@ -207,11 +232,15 @@ def _cmd_hardy_weight(args):
 
 
 def _cmd_bilap_green(args):
+    from . import bilaplacian
+
     val = bilaplacian.green_entry(args.m, args.n, _parse_lambda(args.lam))
     return _fmt(val, args.digits), 0
 
 
 def _cmd_bilap_lambda(args):
+    from . import bilaplacian
+
     method = args.method
     if method == "auto":
         method = "closed" if args.n == 1 else "implicit"
@@ -227,6 +256,8 @@ def _cmd_bilap_lambda(args):
 
 
 def _cmd_probe_min_eig(args):
+    from . import probes
+
     res = probes.min_eig(args.alpha, args.N, parse_potential(args.potential))
     pairs = [
         ("alpha", res.alpha),
@@ -240,36 +271,44 @@ def _cmd_probe_min_eig(args):
 
 
 def _records_out(records, fmt: str) -> str:
+    from . import probes
+
     if fmt == "csv":
         return probes.records_to_csv(records)
     return probes.records_to_json(records)
 
 
 def _cmd_probe_critical(args):
-    records = probes.criticality_scan(
-        args.alpha, args.site, parse_grid(args.c), parse_schedule(args.schedule)
-    )
+    from . import probes
+
+    records = probes.criticality_scan(args.alpha, args.site, parse_grid(args.c), _schedule(args))
     return _records_out(records, args.format), 0
 
 
 def _cmd_probe_hardy(args):
-    rec = probes.hardy_witness(args.alpha, args.epsilon, parse_schedule(args.schedule))
+    from . import probes
+
+    rec = probes.hardy_witness(args.alpha, args.epsilon, _schedule(args))
     return _records_out([rec], args.format), 0
 
 
 def _cmd_probe_reflected(args):
-    rec = probes.reflected_witness(
-        args.alpha, args.c, args.site, parse_schedule(args.schedule)
-    )
+    from . import probes
+
+    rec = probes.reflected_witness(args.alpha, args.c, args.site, _schedule(args))
     return _records_out([rec], args.format), 0
 
 
 def _cmd_probe_kpp(args):
-    rec = probes.kpp_witness(parse_schedule(args.schedule))
+    from . import probes
+
+    rec = probes.kpp_witness(_schedule(args))
     return _records_out([rec], args.format), 0
 
 
 def _cmd_selftest(args):
+    from . import selfcheck
+
     results = selfcheck.run_all()
     lines = []
     for r in results:
@@ -292,7 +331,7 @@ _N = ("--n", dict(type=int, required=True))
 _SIZE = ("--N", dict(type=int, required=True))
 _N_GRID = ("--n", dict(required=True, help="index or grid spec"))
 _LAM = ("--lam", dict(required=True))
-_SCHEDULE = ("--schedule", dict(default=DEFAULT_SCHEDULE))
+_SCHEDULE = ("--schedule", dict(default=None))
 _METHODS = ("auto", "closed", "implicit", "small_c", "large_c")
 
 #: name -> (handler, help, (flag, add_argument keywords) after the common flags)
@@ -452,6 +491,10 @@ def main(argv=None) -> int:
         # argparse uses exit code 2 for usage errors; the contract says 1
         return 0 if exc.code == 0 else 1
     try:
+        # CPython 3.11 argparse drops the value of --flag=--, leaving []
+        empty = [dest for dest, value in vars(args).items() if value == []]
+        if empty:
+            raise CliError(f"argument --{empty[0].replace('_', '-')}: expected one argument")
         text, code = args.handler(args)
     except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

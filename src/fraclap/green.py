@@ -14,9 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from scipy import special as sp
 
 from . import operators, quadrature
 
@@ -66,6 +64,8 @@ def g_weight(alpha: float, n: int) -> float:
     if alpha == 0.5:
         return 4.0 / math.pi * _odd_harmonic(2 * n)
     if min(abs(alpha - 0.5), abs(alpha - 1.0)) < REMOVABLE_WINDOW:
+        import mpmath
+
         with mpmath.workdps(50):
             a = mpmath.mpf(alpha)
             ratio = mpmath.rf(a, 2 * n) / mpmath.rf(1 - a, 2 * n)
@@ -97,6 +97,8 @@ def g_weight_values(alpha: float, count: int) -> np.ndarray:
         return 4.0 / math.pi * np.cumsum(odd)[2 * n - 1]
     if min(abs(alpha - 0.5), abs(alpha - 1.0)) < REMOVABLE_WINDOW:
         return np.array([g_weight(alpha, int(k)) for k in n])
+    from scipy import special as sp
+
     l_num = sp.gammaln(alpha + 2 * n) - sp.gammaln(alpha)
     if alpha < 1.0:
         sign = 1.0
@@ -140,8 +142,11 @@ def g_weight_bound(alpha: float, n: int) -> float:
 
 
 def _gamma_ratio(alpha: float) -> float:
-    """Gamma(alpha)^2 / Gamma(2*alpha)."""
-    return math.exp(2.0 * math.lgamma(alpha) - math.lgamma(2.0 * alpha))
+    """Gamma(alpha)^2 / Gamma(2*alpha); about 2/alpha, beyond float64 below alpha ~ 1e-308."""
+    try:
+        return math.exp(2.0 * math.lgamma(alpha) - math.lgamma(2.0 * alpha))
+    except OverflowError:
+        raise ValueError(f"alpha={alpha!r}: Gamma(alpha)^2/Gamma(2 alpha) overflows float64") from None
 
 
 def weighted_sq_integral(alpha: float, n: int) -> float:
@@ -283,7 +288,9 @@ def reflected_bound_const(alpha: float) -> float:
 
     def g(phi):
         denom = -top * np.expm1(2.0 * alpha * np.log1p(-2.0 * np.sin(0.25 * phi) ** 2))
-        return np.sin(phi) ** 2 / denom
+        # denom underflows to 0 near phi = 0 for tiny alpha: non-convergence, not a warning
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.sin(phi) ** 2 / denom
 
     return float(quadrature.integrate_theta(g, 1e-13)) * 2.0 / math.pi
 
@@ -398,6 +405,8 @@ def zeta_and_derivative(s: float) -> tuple[float, float]:
     """(zeta(s), zeta'(s)) for s > 1."""
     if s <= 1.0:
         raise ValueError(f"zeta_and_derivative requires s > 1, got {s}")
+    import mpmath
+
     with mpmath.workdps(30):
         z = mpmath.zeta(s)
         zp = mpmath.zeta(s, derivative=1)

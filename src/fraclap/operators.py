@@ -17,8 +17,6 @@ from typing import IO, Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sfft
-from scipy import special as sp
 
 from . import quadrature
 
@@ -92,12 +90,16 @@ def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
     if alpha == -1.0:
         return -0.5 * k
     if alpha == -0.5:
+        from scipy import special as sp
+
         return -(sp.psi(0.5 + k) + sp.psi(0.5 - k)) / (2.0 * math.pi)
     sign = np.where(k % 2 == 0, 1.0, -1.0)
     if is_banded(alpha):
         a = int(alpha)
         binom = np.array([float(math.comb(2 * a, a + j)) for j in range(a + 1)] + [0.0])
         return sign * binom[np.minimum(k, a + 1).astype(int)]
+    from scipy import special as sp
+
     out = np.empty_like(k)
     lg_top = math.lgamma(2.0 * alpha + 1.0)
     direct = alpha - k + 1.0 > 0.0
@@ -114,7 +116,25 @@ def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
 
 
 def entry(alpha: float, m: int, n: int) -> float:
-    """Matrix entry A(alpha)_{m,n} for m, n >= 1 with m + n < 2^52."""
+    """Matrix entry A(alpha)_{m,n} for m, n >= 1 with m + n < 2^52.
+
+    Integer powers and alpha = -1 are exact.  Otherwise the entry is
+    accurate in absolute terms only, to a few ulps of |c[|m-n|]|: far off
+    the diagonal it is the small difference c[|m-n|] - c[m+n] of two
+    nearly equal coefficients, and it loses its relative accuracy and
+    possibly its sign.  For alpha > 0 the log-Gamma form of c[k] adds a
+    relative error of about eps*k*ln(k) (3e-10 at k = 10^5).  Measured
+    against 60-digit mpmath values:
+
+    ==========================  ========================  =======================
+    call                        returns                   exact value
+    ==========================  ========================  =======================
+    ``entry(-0.5, 10**15, 1)``  0.0                       6.3661977236758134e-16
+    ``entry(-0.5, 10**9, 1)``   6.366196458884588e-10     6.3661977236758134e-10
+    ``entry(0.75, 10**4, 1)``   -1.4960336215052024e-14   -1.4960336055028352e-14
+    ``entry(0.75, 10**9, 1)``   3.609371298352825e-29     -4.7308734787878001e-32
+    ==========================  ========================  =======================
+    """
     _check_exponent(alpha)
     _check_indices(m, n)
     c = _signed_coeff(alpha, np.array([abs(m - n), m + n]))
@@ -155,6 +175,8 @@ def section_product(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     circular length L >= 3N + 1 keeps those 3N lags apart, so nothing
     aliases.  Each column costs O(L log L); no N x N array is formed.
     """
+    from scipy import fft as sfft
+
     size = (coeffs.size - 1) // 2
     length = sfft.next_fast_len(3 * size + 1, real=True)
     kernel = np.zeros(length)

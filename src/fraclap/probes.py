@@ -19,7 +19,6 @@ import numpy as np
 from scipy import fft as sfft
 from scipy import linalg
 from scipy.linalg import eig_banded, eigh, solve_banded
-from scipy.optimize import brentq
 
 from . import green, operators, quadrature
 
@@ -440,6 +439,8 @@ def solve_bs_lambda(alpha: float, site: int, c: float) -> float | None:
     1e-300; returns None when no solution exists in that range (the
     perturbed operator stays non-negative, or the eigenvalue underflows).
     """
+    from scipy.optimize import brentq
+
     operators.check_positive_power(alpha)
     if c <= 0.0:
         raise ValueError("coupling c > 0 required")

@@ -14,6 +14,7 @@ with the value its own call would give.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
 from typing import Callable
@@ -68,7 +69,9 @@ def integrate_theta(
     then one pass shares every node among them and the result is an array
     of k integrals.  Each row's estimate is taken at the first level where
     that row meets the stopping rule, and equals what a call with that row
-    alone returns, bit for bit: a 1-d g is the family with k = 1.
+    alone returns, bit for bit: a 1-d g is the family with k = 1.  A
+    non-finite estimate, from a pole or an overflow at a node, raises
+    QuadratureError at once, since no later level could converge.
     """
     if not (math.isfinite(tol) and tol > 0.0 and math.isfinite(rel) and rel >= 0.0):
         raise ValueError(
@@ -92,6 +95,8 @@ def integrate_theta(
         for i in running:
             total[i] = total[i] + left[i] + right[i]
             estimate = 0.5 * math.pi * h * total[i]
+            if not cmath.isfinite(estimate):
+                raise QuadratureError(f"tanh-sinh estimate is {estimate} at level {level}")
             if level >= 4 and abs(estimate - prev[i]) < 0.5 * (tol + rel * abs(estimate)):
                 result[i] = estimate
             prev[i] = estimate

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclap import green as green_mod
 from fraclap.bilaplacian import (
@@ -79,6 +81,19 @@ class TestGreenEntry:
         up = green_entry(1, 2, 1.0 + 1.0j)
         down = green_entry(1, 2, 1.0 - 1.0j)
         assert abs(up - np.conj(down)) < 1e-13
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 200),
+        n=st.integers(1, 200),
+        re=st.floats(-50.0, 50.0),
+        im=st.floats(1e-12, 20.0),
+    )
+    def test_conjugate_and_index_symmetry_exact(self, m, n, re, im):
+        lam = complex(re, im)
+        val = green_entry(m, n, lam)
+        assert green_entry(m, n, lam.conjugate()) == val.conjugate()
+        assert green_entry(n, m, lam) == val
 
     def test_deep_spectral_edge_frozen_values(self):
         # values frozen from a 60-digit evaluation of the closed form;

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -571,15 +572,34 @@ class TestExitCodes:
             ("green", "--alpha", "0.75", "--m", "100000000000000000000", "--n", "1", "--lam", "-1"),
             ("entry", "--alpha", "-0.5", "--m", "100000000000000000000", "--n", "1"),
             ("entry", "--alpha", "-1", "--m", "9007199254740993", "--n", "9007199254740993"),
+            # Gamma(alpha)^2 / Gamma(2 alpha) beyond float64
+            ("bounds", "--alpha", "1e-310", "--m", "1", "--n", "1"),
+            ("in", "--alpha", "1e-310", "--n", "1"),
+            # geometric grid ends of opposite signs
+            ("gn", "--alpha", "0.75", "--n", "logspace:1:-1:3"),
+            # argparse drops a "--" attached to its flag
+            ("hardy-check", "--alpha", "0.75", "--potential=--"),
+            ("entry", "--alpha=--", "--m", "1", "--n", "1"),
         ],
         ids=lambda argv: " ".join(argv),
     )
     def test_non_finite_and_out_of_range_inputs(self, capsys, argv):
-        code, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr too
+            code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_non_finite_quadrature_is_non_convergence(self, capsys):
+        # the reflected constant's integrand underflows to 1/0 at so small a power
+        argv = ("probe-reflected", "--alpha", "1e-60", "--c", "1", "--schedule", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("numerical non-convergence:") and err.count("\n") == 1
 
     def test_lambda_on_spectrum(self, capsys):
         code, _, err = run_cli(capsys, "bilap-green", "--m", "1", "--n", "1", "--lam", "4")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclap import operators
 from fraclap.green import (
@@ -382,3 +384,34 @@ class TestZeta:
             zeta_and_derivative(1.0)
         with pytest.raises(ValueError):
             zeta_and_derivative(0.5)
+
+
+#: subcritical powers, with the removable points 1/2 and 1 and their
+#: extended-precision windows drawn on purpose
+SUBCRITICAL = st.one_of(
+    st.floats(0.0, 1.5, exclude_min=True, exclude_max=True),
+    st.sampled_from([0.5, 1.0]),
+    st.builds(lambda a, d: a + d, st.sampled_from([0.5, 1.0]), st.floats(-2e-6, 2e-6)),
+)
+
+
+class TestBoundProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=SUBCRITICAL, n=st.integers(1, 10**6))
+    def test_weight_below_its_bound(self, alpha, n):
+        if min(abs(alpha - 0.5), abs(alpha - 1.0)) < 1e-5:
+            n = min(n, 1000)  # O(n) odd-harmonic sum or 50-digit Pochhammer ratio
+        assert g_weight(alpha, n) <= g_weight_bound(alpha, n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.01, 1.49),
+        m=st.integers(1, 40),
+        n=st.integers(1, 40),
+        lam=st.floats(1e-8, 1e3).map(lambda x: -x),
+    )
+    def test_green_entry_below_both_uniform_bounds(self, alpha, m, n, lam):
+        bound = min(uniform_bound_rough(alpha, m, n), uniform_bound_refined(alpha, m, n))
+        # the quadrature meets an absolute tolerance of 1e-12
+        assert abs(green_entry(alpha, m, n, lam)) <= bound + 1e-12
+

@@ -1,0 +1,104 @@
+"""Cold start: each subcommand imports only the modules it uses."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import fraclap
+
+_SRC = os.path.dirname(os.path.dirname(fraclap.__file__))
+
+#: runs fraclap.cli.main(argv), or only ``import fraclap`` without argv,
+#: in a fresh interpreter; prints the exit code and the loaded modules
+_SCRIPT = """\
+import contextlib, io, json, sys
+import fraclap
+code = None
+if sys.argv[1:]:
+    from fraclap import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+json.dump([code, sorted(sys.modules)], sys.stdout)
+"""
+
+
+def loaded_modules(*argv) -> set[str]:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCRIPT, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stderr == ""
+    code, modules = json.loads(proc.stdout)
+    assert code in (None, 0)
+    return set(modules)
+
+
+def test_integer_entry_loads_no_scipy():
+    modules = loaded_modules("entry", "--alpha", "1", "--m", "1", "--n", "2")
+    assert not {m for m in modules if m == "scipy" or m.startswith(("scipy.", "mpmath"))}
+    assert not {"fraclap.green", "fraclap.probes", "fraclap.bilaplacian"} & modules
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("entry", "--alpha", "1.5", "--m", "2", "--n", "3"),
+        ("matrix", "--alpha", "1.5", "--N", "4"),
+        ("green", "--alpha", "0.75", "--m", "2", "--n", "5", "--lam", "-0.5"),
+        ("bounds", "--alpha", "1.25", "--m", "3", "--n", "4"),
+        ("gn", "--alpha", "0.75", "--n", "1:20:5"),
+        ("in", "--alpha", "0.75", "--n", "7"),
+        ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2"),
+        ("bilap-green", "--m", "2", "--n", "3", "--lam", "-1"),
+        ("bilap-lambda", "--n", "1", "--c", "1"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_no_root_finder_or_mpmath(argv):
+    modules = loaded_modules(*argv)
+    assert "scipy.optimize" not in modules
+    assert "mpmath" not in modules
+    assert "fraclap.probes" not in modules
+
+
+def test_hardy_weight_loads_mpmath_for_zeta_only():
+    # the weight's coefficient needs zeta(1 + epsilon) and its derivative
+    modules = loaded_modules("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5")
+    assert "mpmath" in modules
+    assert "scipy.optimize" not in modules
+
+
+def test_removable_window_loads_mpmath():
+    # the guard sees what a handler imports on first use
+    assert "mpmath" in loaded_modules("gn", "--alpha", "0.5000001", "--n", "5")
+
+
+def test_help_loads_no_library_module():
+    modules = loaded_modules("--help")
+    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+    assert {m for m in modules if m.startswith("fraclap.")} == {"fraclap.cli", "fraclap.quadrature"}
+
+
+def test_package_import_loads_no_submodule():
+    assert not {m for m in loaded_modules() if m.startswith(("fraclap.", "scipy", "mpmath"))}
+
+
+def test_exported_names_are_their_submodule_attributes():
+    assert len(fraclap.__all__) == 36
+    for name in fraclap.__all__:
+        obj = getattr(fraclap, name)
+        assert obj.__module__.startswith("fraclap."), name
+        assert obj is getattr(sys.modules[obj.__module__], obj.__name__), name
+    assert set(fraclap.__all__) <= set(dir(fraclap))
+
+
+def test_unknown_names_and_submodules():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fraclap.no_such_name
+    from fraclap import green
+
+    assert green.__name__ == "fraclap.green"
+    assert fraclap.bilap_green_entry is fraclap.bilaplacian.green_entry

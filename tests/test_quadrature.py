@@ -65,6 +65,19 @@ class TestSemicircleWeight:
         with pytest.raises(QuadratureError):
             integrate_theta(f, tol=1e-15)
 
+    def test_non_finite_estimate_raises_at_once(self):
+        # a pole at the midpoint gives an infinite level-0 estimate
+        calls = []
+
+        def pole(theta):
+            calls.append(theta.size)
+            with np.errstate(divide="ignore"):
+                return 1.0 / np.abs(theta - 0.5 * math.pi)
+
+        with pytest.raises(QuadratureError, match="inf at level 0"):
+            integrate_theta(pole, tol=1e-12)
+        assert len(calls) == 3
+
     @pytest.mark.parametrize("rel", [-1.0, math.nan, math.inf])
     def test_rejects_bad_relative_tolerance(self, rel):
         # bad absolute tolerances are covered through the CLI's --tol
