@@ -11,26 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 #: the essential spectrum of the squared operator
 SPECTRUM_TOP = 16.0
-
-
-@dataclass(frozen=True)
-class JoukowskiPair:
-    """The two inside-the-disk solutions of z + 1/z = 2 -/+ sqrt(lam)."""
-
-    xi: complex
-    eta: complex
-
-    @property
-    def lam(self) -> complex:
-        s = 0.5 * ((self.eta + 1.0 / self.eta) - (self.xi + 1.0 / self.xi))
-        return s * s
 
 
 def _big_root(w: complex, w_minus_2: complex | None = None) -> tuple[complex, complex]:
@@ -47,11 +32,6 @@ def _big_root(w: complex, w_minus_2: complex | None = None) -> tuple[complex, co
     if (w.conjugate() * disc).real < 0.0:
         disc = -disc
     return 0.5 * (w + disc), 0.5 * (w_minus_2 + disc)
-
-
-def _unit_disk_root(w: complex) -> complex:
-    """Root of z^2 - w z + 1 = 0 with |z| < 1, via the stable big root."""
-    return 1.0 / _big_root(w)[0]
 
 
 def _pair_with_gaps(lam) -> tuple[complex, complex, complex, complex]:
@@ -72,12 +52,6 @@ def _pair_with_gaps(lam) -> tuple[complex, complex, complex, complex]:
     return 1.0 / z_xi, 1.0 / z_eta, d_xi / z_xi, d_eta / z_eta
 
 
-def joukowski_pair(lam) -> JoukowskiPair:
-    """Joukowski parameters for a spectral point lam off [0, 16]."""
-    xi, eta, _, _ = _pair_with_gaps(lam)
-    return JoukowskiPair(xi=xi, eta=eta)
-
-
 def _kernel_factor(z: complex, p: int, d: int, gap: complex | None = None) -> complex:
     """f(z) = (z^p - z^d) / (z - 1/z).
 
@@ -86,6 +60,8 @@ def _kernel_factor(z: complex, p: int, d: int, gap: complex | None = None) -> co
     the z^p - z^d cancellation.
     """
     if gap is not None and abs(gap) < 1e-2:
+        from scipy import special as sp
+
         num = (1.0 - gap) ** d * sp.expm1((p - d) * sp.log1p(-gap))
         den = -gap * (2.0 - gap) / (1.0 - gap)
         return num / den
@@ -144,6 +120,15 @@ def green_entry(m: int, n: int, lam):
     return float(val.real) if is_real else val
 
 
+def _chebyshev_u_even(x: float, site: int):
+    """U_0(x), U_2(x), ..., U_{2 site - 2}(x), two recurrence terms at a time."""
+    u_k, u_next = 1.0, 2.0 * x
+    for _ in range(site):
+        yield u_k
+        u_k = 2.0 * x * u_next - u_k
+        u_next = 2.0 * x * u_k - u_next
+
+
 def _coupling_inverse(s: float, site: int) -> float:
     """1/c as a function of s = 1 - r^2 along the bound-state curve.
 
@@ -160,10 +145,7 @@ def _coupling_inverse(s: float, site: int) -> float:
     if sin_theta >= 1e-6:
         u_even = (np.sin((2 * j + 1) * theta) / sin_theta for j in range(site))
     else:
-        u = [1.0, 2.0 * x]
-        for _ in range(2 * site - 2):
-            u.append(2.0 * x * u[-1] - u[-2])
-        u_even = u[::2]
+        u_even = _chebyshev_u_even(x, site)
     acc = 0.0
     w = 1.0
     for u_2j in u_even:
@@ -187,7 +169,7 @@ def lambda_site1_closed(c: float) -> float:
     return -(c**4) / ((c + 1.0) * (c + 2.0) ** 2)
 
 
-def lambda_bound_state(site: int, c: float, tol: float = 1e-14) -> float:
+def lambda_bound_state(site: int, c: float) -> float:
     """The unique negative eigenvalue of A^2 - c*delta_site.
 
     Root-finds the bound-state condition in the variable s = 1 - r^2 (the
@@ -209,7 +191,7 @@ def lambda_bound_state(site: int, c: float, tol: float = 1e-14) -> float:
         lo = 1e-300
     # reaching s ~ 1e-300 from a unit-size bracket takes ~1000 bisections
     s = brentq(
-        f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps * (1.0 + tol), maxiter=1200
+        f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps * (1.0 + 1e-14), maxiter=1200
     )
     return _lambda_from_s(s)
 

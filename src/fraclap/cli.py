@@ -112,8 +112,11 @@ def _emit(text: str, out: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -496,13 +499,13 @@ def main(argv=None) -> int:
         if empty:
             raise CliError(f"argument --{empty[0].replace('_', '-')}: expected one argument")
         text, code = args.handler(args)
+        _emit(text, args.out)
     except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except quadrature.QuadratureError as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return 2
-    _emit(text, args.out)
     return code
 
 

@@ -456,8 +456,6 @@ def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, floa
     if terms < 1:
         raise ValueError(f"the series needs terms >= 1, got {terms}")
     if pot.kind == "delta":
-        if pot.site > terms:
-            terms = pot.site
         return pot.coeff * g_weight(alpha, pot.site), 0.0
     # the values, the weights and their temporaries: up to 64 bytes a term
     # were traced (alpha = 1/2), so 10 float64 a term bound them
@@ -488,10 +486,6 @@ class AdmissibilityResult:
     partial_sum: float
     tail_bound: float
     threshold: float
-
-    @property
-    def total(self) -> float:
-        return self.partial_sum + self.tail_bound
 
 
 def theorem2_check(alpha: float, pot: Potential, tail_terms: int = 100_000) -> AdmissibilityResult:

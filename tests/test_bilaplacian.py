@@ -11,54 +11,60 @@ from hypothesis import strategies as st
 
 from fraclap import green as green_mod
 from fraclap.bilaplacian import (
+    _big_root,
     _coupling_inverse,
+    _pair_with_gaps,
     green_entry,
-    joukowski_pair,
     lambda_asymptotic,
     lambda_bound_state,
     lambda_site1_closed,
 )
 
 
-class TestJoukowskiPair:
+def _pair(lam):
+    xi, eta, _, _ = _pair_with_gaps(lam)
+    return xi, eta
+
+
+class TestJoukowskiParameters:
     def test_known_real_point(self):
         # lam = 25: sqrt = 5, xi solves z + 1/z = -3 -> (-3 + sqrt 5)/2
-        pair = joukowski_pair(25.0)
-        assert pair.xi == pytest.approx((-3.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
-        assert pair.eta == pytest.approx((7.0 - math.sqrt(45.0)) / 2.0, rel=1e-14)
+        xi, eta = _pair(25.0)
+        assert xi == pytest.approx((-3.0 + math.sqrt(5.0)) / 2.0, rel=1e-14)
+        assert eta == pytest.approx((7.0 - math.sqrt(45.0)) / 2.0, rel=1e-14)
 
     def test_inside_unit_disk(self):
         for lam in (-1e-6, -1.0, -1e4, 17.0, 100.0, 2.0 + 3.0j, -5.0 + 0.001j):
-            pair = joukowski_pair(lam)
-            assert abs(pair.xi) < 1.0
-            assert abs(pair.eta) < 1.0
+            xi, eta = _pair(lam)
+            assert abs(xi) < 1.0
+            assert abs(eta) < 1.0
 
     def test_reconstruction(self):
+        # xi + 1/xi = 2 - sqrt(lam) and eta + 1/eta = 2 + sqrt(lam)
         for lam in (-0.5, -100.0, 20.0, 3.0 - 2.0j):
-            pair = joukowski_pair(lam)
-            assert pair.lam == pytest.approx(complex(lam), rel=1e-12)
+            xi, eta = _pair(lam)
+            root = 0.5 * ((eta + 1.0 / eta) - (xi + 1.0 / xi))
+            assert root * root == pytest.approx(complex(lam), rel=1e-12)
 
     def test_conjugate_symmetry(self):
         # negative lam: the two parameters are complex conjugates
         for lam in (-1e-3, -1.0, -50.0):
-            pair = joukowski_pair(lam)
-            assert pair.xi == pytest.approx(np.conj(pair.eta), rel=1e-13)
+            xi, eta = _pair(lam)
+            assert xi == pytest.approx(np.conj(eta), rel=1e-13)
 
     def test_branch_independence(self):
         # swapping the square root branch only swaps xi and eta
         lam = -2.0
         root = cmath.sqrt(complex(lam))
-        pair = joukowski_pair(lam)
-        from fraclap.bilaplacian import _unit_disk_root
-
-        swapped = (_unit_disk_root(2.0 + root), _unit_disk_root(2.0 - root))
-        assert pair.xi == pytest.approx(swapped[1], rel=1e-14)
-        assert pair.eta == pytest.approx(swapped[0], rel=1e-14)
+        xi, eta = _pair(lam)
+        swapped = (1.0 / _big_root(2.0 + root)[0], 1.0 / _big_root(2.0 - root)[0])
+        assert xi == pytest.approx(swapped[1], rel=1e-14)
+        assert eta == pytest.approx(swapped[0], rel=1e-14)
 
     def test_spectrum_rejected(self):
         for lam in (0.0, 1.0, 16.0, 8.5):
             with pytest.raises(ValueError):
-                joukowski_pair(lam)
+                _pair_with_gaps(lam)
 
 
 class TestGreenEntry:

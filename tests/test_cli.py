@@ -592,6 +592,15 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-dir", "directory"])
+    def test_unwritable_out(self, capsys, tmp_path, target):
+        out_path = str(tmp_path / target)
+        code, out, err = run_cli(capsys, "entry", "--alpha", "1", "--m", "1", "--n", "2", "--out", out_path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert out_path in err
+
     def test_non_finite_quadrature_is_non_convergence(self, capsys):
         # the reflected constant's integrand underflows to 1/0 at so small a power
         argv = ("probe-reflected", "--alpha", "1e-60", "--c", "1", "--schedule", "1")

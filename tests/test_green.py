@@ -331,7 +331,7 @@ class TestHilbertSchmidtBound:
     @staticmethod
     def _ratio(alpha, pot):
         res = theorem2_check(alpha, pot)
-        return res.total / res.threshold
+        return (res.partial_sum + res.tail_bound) / res.threshold
 
     def test_zero(self):
         assert self._ratio(1.0, Potential.zero()) == 0.0

@@ -64,6 +64,11 @@ def test_no_root_finder_or_mpmath(argv):
     assert "fraclap.probes" not in modules
 
 
+def test_site1_bound_state_loads_no_special():
+    # the closed form needs numpy alone
+    assert "scipy.special" not in loaded_modules("bilap-lambda", "--n", "1", "--c", "1")
+
+
 def test_hardy_weight_loads_mpmath_for_zeta_only():
     # the weight's coefficient needs zeta(1 + epsilon) and its derivative
     modules = loaded_modules("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5")
@@ -86,19 +91,11 @@ def test_package_import_loads_no_submodule():
     assert not {m for m in loaded_modules() if m.startswith(("fraclap.", "scipy", "mpmath"))}
 
 
-def test_exported_names_are_their_submodule_attributes():
-    assert len(fraclap.__all__) == 36
-    for name in fraclap.__all__:
-        obj = getattr(fraclap, name)
-        assert obj.__module__.startswith("fraclap."), name
-        assert obj is getattr(sys.modules[obj.__module__], obj.__name__), name
-    assert set(fraclap.__all__) <= set(dir(fraclap))
-
-
 def test_unknown_names_and_submodules():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        fraclap.no_such_name
+    # the API is the submodules: the package itself exports no function
+    for name in ("no_such_name", "entry"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(fraclap, name)
     from fraclap import green
 
     assert green.__name__ == "fraclap.green"
-    assert fraclap.bilap_green_entry is fraclap.bilaplacian.green_entry
