@@ -18,7 +18,7 @@ import numpy as np
 SPECTRUM_TOP = 16.0
 
 
-def _big_root(w: complex, w_minus_2: complex | None = None) -> tuple[complex, complex]:
+def _big_root(w: complex, w_minus_2: complex) -> tuple[complex, complex]:
     """Root z of z^2 - w z + 1 = 0 with |z| > 1, returned as (z, z - 1).
 
     z - 1 = ((w - 2) + disc)/2 is free of cancellation precisely when z is
@@ -26,8 +26,6 @@ def _big_root(w: complex, w_minus_2: complex | None = None) -> tuple[complex, co
     Passing w - 2 exactly keeps the discriminant (w-2)(w+2) accurate when
     w is within rounding distance of 2.
     """
-    if w_minus_2 is None:
-        w_minus_2 = w - 2.0
     disc = cmath.sqrt(w_minus_2 * (w + 2.0))
     if (w.conjugate() * disc).real < 0.0:
         disc = -disc
@@ -52,14 +50,13 @@ def _pair_with_gaps(lam) -> tuple[complex, complex, complex, complex]:
     return 1.0 / z_xi, 1.0 / z_eta, d_xi / z_xi, d_eta / z_eta
 
 
-def _kernel_factor(z: complex, p: int, d: int, gap: complex | None = None) -> complex:
-    """f(z) = (z^p - z^d) / (z - 1/z).
+def _kernel_factor(z: complex, p: int, d: int, gap: complex) -> complex:
+    """f(z) = (z^p - z^d) / (z - 1/z), given the accurate gap 1 - z.
 
-    When the accurate gap 1 - z is supplied and small, numerator and
-    denominator are both rewritten around z = 1 so that neither suffers
-    the z^p - z^d cancellation.
+    When the gap is small, numerator and denominator are both rewritten
+    around z = 1 so that neither suffers the z^p - z^d cancellation.
     """
-    if gap is not None and abs(gap) < 1e-2:
+    if abs(gap) < 1e-2:
         from scipy import special as sp
 
         num = (1.0 - gap) ** d * sp.expm1((p - d) * sp.log1p(-gap))

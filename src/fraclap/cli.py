@@ -503,6 +503,9 @@ def main(argv=None) -> int:
     except (CliError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except OverflowError as exc:  # an input too large for a float or a float power
+        sys.stderr.write(f"error: numeric overflow: {exc}\n")
+        return 1
     except quadrature.QuadratureError as exc:
         sys.stderr.write(f"numerical non-convergence: {exc}\n")
         return 2

@@ -96,7 +96,17 @@ def g_weight_values(alpha: float, count: int) -> np.ndarray:
         odd = 1.0 / (2.0 * np.arange(1, 2 * count + 1) - 1.0)
         return 4.0 / math.pi * np.cumsum(odd)[2 * n - 1]
     if min(abs(alpha - 0.5), abs(alpha - 1.0)) < REMOVABLE_WINDOW:
-        return np.array([g_weight(alpha, int(k)) for k in n])
+        # g_weight's 50-digit ratio (a)_2n/(1-a)_2n, as one running product
+        import mpmath
+
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            b = 1 - a
+            tan, ratio, out = mpmath.tan(mpmath.pi * a), mpmath.mpf(1), []
+            for k in range(0, 2 * count, 2):
+                ratio = ratio * ((a + k) * (a + (k + 1))) / ((b + k) * (b + (k + 1)))
+                out.append(float((1 - ratio) * tan))
+        return np.array(out)
     from scipy import special as sp
 
     l_num = sp.gammaln(alpha + 2 * n) - sp.gammaln(alpha)
@@ -110,17 +120,17 @@ def g_weight_values(alpha: float, count: int) -> np.ndarray:
     return (1.0 - ratio) * _tanpi(alpha)
 
 
-def growth_const(alpha: float) -> float:
-    """Coefficient of n^(2*alpha-1) majorizing g_weight for alpha in (1/2, 3/2)."""
-    if not 0.5 < alpha < 1.5:
-        raise ValueError(f"alpha={alpha} outside (1/2, 3/2)")
+def _majorant(alpha: float) -> tuple[float, float]:
+    """(A, beta) with g_weight(alpha, n) <= A * n^beta for all n >= 1, alpha != 1/2."""
+    if alpha < 0.5:
+        return _tanpi(alpha), 0.0
     if alpha == 1.0:
-        return 4.0 * math.pi
+        return 4.0 * math.pi, 1.0
     chi = 1.0 if alpha > 1.0 else 0.0
     coeff = alpha * (1.0 + alpha) * 2.0 ** (2.0 * alpha - 1.0) / (
         (alpha - 1.0) * (2.0 - alpha) ** (2.0 * alpha)
     )
-    return (chi + coeff) * _tanpi(alpha)
+    return (chi + coeff) * _tanpi(alpha), 2.0 * alpha - 1.0
 
 
 def g_weight_bound(alpha: float, n: int) -> float:
@@ -130,11 +140,10 @@ def g_weight_bound(alpha: float, n: int) -> float:
     harmonic estimate sum_{j<=2n} 1/(2j-1) <= (3 + ln n)/2 scaled by 4/pi.
     """
     _check_subcritical_range(alpha)
-    if alpha < 0.5:
-        return _tanpi(alpha)
     if alpha == 0.5:
         return (6.0 + 2.0 * math.log(n)) / math.pi
-    return growth_const(alpha) * float(n) ** (2.0 * alpha - 1.0)
+    coeff, beta = _majorant(alpha)
+    return coeff * float(n) ** beta
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +168,7 @@ def weighted_sq_integral(alpha: float, n: int) -> float:
     return 2.0 ** (alpha - 2.0) * _gamma_ratio(alpha) * g_weight(alpha, n)
 
 
-def weighted_sq_integral_quad(alpha: float, n, tol: float = 1e-12):
+def weighted_sq_integral_quad(alpha: float, n, tol: float = 1e-12, rel: float = 0.0):
     """Direct quadrature of the same moment (independent oracle).
 
     The integrand is exponentiated from log space: its two factors
@@ -178,7 +187,7 @@ def weighted_sq_integral_quad(alpha: float, n, tol: float = 1e-12):
             logs = log_sq[ni] - alpha * np.log(2.0 * np.sin(0.5 * theta) ** 2)
         return np.exp(logs)
 
-    val = quadrature.integrate_theta(g, tol)
+    val = quadrature.integrate_theta(g, tol, rel)
     return val.reshape(shape) if shape else float(val[0])
 
 
@@ -186,7 +195,7 @@ def weighted_sq_integral_quad(alpha: float, n, tol: float = 1e-12):
 # Green kernel and uniform bounds
 
 
-def green_entry(alpha: float, m, n, lam, tol: float = 1e-12):
+def green_entry(alpha: float, m, n, lam, tol: float = 1e-12, rel: float = 0.0):
     """Resolvent entry (A(alpha) - lam)^(-1)_{m,n} by angular quadrature.
 
     lam may be any real number outside [0, 4^alpha] or a complex number off
@@ -195,8 +204,7 @@ def green_entry(alpha: float, m, n, lam, tol: float = 1e-12):
     quadrature pass, each equal to its scalar call bit for bit.
     """
     operators.check_positive_power(alpha)
-    shape = np.broadcast_shapes(np.shape(m), np.shape(n))
-    ks, mi, ni = operators.sine_indices(m, n)
+    shape, ks, mi, ni = operators.sine_indices(m, n)
     if not cmath.isfinite(lam):
         raise ValueError(f"lam={lam} must be finite")
     top = 4.0**alpha
@@ -212,7 +220,7 @@ def green_entry(alpha: float, m, n, lam, tol: float = 1e-12):
         denom = (4.0 * np.sin(0.5 * theta) ** 2) ** alpha - lam
         return s[mi] * s[ni] / denom
 
-    val = quadrature.integrate_theta(g, tol) * 2.0 / math.pi
+    val = quadrature.integrate_theta(g, tol, rel) * 2.0 / math.pi
     if is_real:
         val = np.real(val)
     if shape:
@@ -220,7 +228,6 @@ def green_entry(alpha: float, m, n, lam, tol: float = 1e-12):
     return float(val[0]) if is_real else complex(val[0])
 
 
-@lru_cache(maxsize=256)
 def rough_bound_const(alpha: float) -> float:
     """The constant C with |resolvent entry| <= C*m*n for all lam < 0.
 
@@ -242,23 +249,12 @@ def rough_bound_const(alpha: float) -> float:
 
 
 def rough_bound_const_quad(alpha: float, tol: float = 1e-12) -> float:
-    """Quadrature evaluation of the same constant (independent oracle).
+    """The same constant from the n = 1 weighted moment's quadrature (independent oracle).
 
     Loses accuracy for alpha within ~0.03 of 3/2 (endpoint exponent
     approaches -1); the closed form above has no such restriction.
     """
-    _check_subcritical_range(alpha)
-
-    def g(theta):
-        with np.errstate(divide="ignore"):
-            logs = 2.0 * np.log(np.abs(np.sin(theta))) - alpha * np.log(
-                2.0 * np.sin(0.5 * theta) ** 2
-            )
-        return np.exp(logs)
-
-    return float(quadrature.integrate_theta(g, tol, rel=tol)) / (
-        2.0 ** (alpha - 1.0) * math.pi
-    )
+    return weighted_sq_integral_quad(alpha, 1, tol, rel=tol) / (2.0 ** (alpha - 1.0) * math.pi)
 
 
 def uniform_bound_rough(alpha: float, m: int, n: int) -> float:
@@ -275,7 +271,6 @@ def uniform_bound_refined(alpha: float, m: int, n: int) -> float:
     )
 
 
-@lru_cache(maxsize=256)
 def reflected_bound_const(alpha: float) -> float:
     """Uniform constant for the spectrum-reflected operator; finite for all alpha > 0.
 
@@ -429,20 +424,17 @@ def _power_tail_bound(alpha: float, coeff: float, p: float, start: int) -> float
         z, _ = zeta_and_derivative(p - 1.0)
         head = math.fsum(float(k) ** (1.0 - p) for k in range(1, start + 1))
         return 2.0 * math.pi * coeff * max(z - head, 0.0)
-    if alpha < 0.5:
-        if p <= 1.0:
-            return math.inf
-        return _tanpi(alpha) * coeff * t ** (1.0 - p) / (p - 1.0)
     if alpha == 0.5:
         if p <= 1.0:
             return math.inf
         s = p - 1.0
         integral = t**-s * ((3.0 + math.log(t)) / s + 1.0 / s**2)
         return 2.0 / math.pi * coeff * integral
-    q = p - (2.0 * alpha - 1.0)
+    growth, beta = _majorant(alpha)
+    q = p - beta
     if q <= 1.0:
         return math.inf
-    return growth_const(alpha) * coeff * t ** (1.0 - q) / (q - 1.0)
+    return growth * coeff * t ** (1.0 - q) / (q - 1.0)
 
 
 @lru_cache(maxsize=8)
@@ -521,12 +513,10 @@ def power_hardy_weight(alpha: float, epsilon: float) -> Potential:
     p = max(1.0, 2.0 * alpha) + epsilon
     z, zp = zeta_and_derivative(1.0 + epsilon)
     thr = admissibility_threshold(alpha)
-    if alpha < 0.5:
-        gamma = thr / (_tanpi(alpha) * z)
-    elif alpha == 0.5:
+    if alpha == 0.5:
         gamma = thr / (2.0 / math.pi * (3.0 * z - zp))
     elif alpha == 1.0:
         gamma = 1.0 / z
     else:
-        gamma = thr / (growth_const(alpha) * z)
+        gamma = thr / (_majorant(alpha)[0] * z)
     return Potential.power(gamma, p)

@@ -229,15 +229,19 @@ def assemble_reflected(alpha: float, size: int) -> np.ndarray:
 
 
 def sine_indices(m, n):
-    """Distinct indices k of m and n, and where each m and n sits among them.
+    """Broadcast shape of m and n, their distinct indices k, and where each
+    m and n sits among them.
 
     The oracles below evaluate sin(k*theta) once per distinct k and pick
     the rows of each (m, n) pair from that table.
     """
     m, n = np.broadcast_arrays(m, n)
     _check_indices(m, n)
-    ks = np.unique(np.concatenate([m.ravel(), n.ravel()]))
-    return ks, np.searchsorted(ks, m.ravel()), np.searchsorted(ks, n.ravel())
+    shape, m, n = m.shape, m.ravel(), n.ravel()
+    ks = np.unique(np.concatenate([m, n]))
+    # a side that lists every k in order picks by a slice: a view, not a copy
+    mi, ni = (slice(None) if np.array_equal(s, ks) else np.searchsorted(ks, s) for s in (m, n))
+    return shape, ks, mi, ni
 
 
 def entry_oracle(alpha: float, m, n, tol: float = 1e-12):
@@ -253,8 +257,7 @@ def entry_oracle(alpha: float, m, n, tol: float = 1e-12):
     """
     if alpha <= -1.5:
         raise ValueError("quadrature representation requires alpha > -3/2")
-    shape = np.broadcast_shapes(np.shape(m), np.shape(n))
-    ks, mi, ni = sine_indices(m, n)
+    shape, ks, mi, ni = sine_indices(m, n)
 
     if alpha >= 0.0:
         def g(theta):

@@ -14,13 +14,14 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 from scipy import fft as sfft
 from scipy import linalg
 from scipy.linalg import eig_banded, eigh, solve_banded
 
-from . import green, operators, quadrature
+from . import green, operators
 
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 
@@ -422,13 +423,8 @@ def _series(alpha: float, pot: green.Potential, schedule) -> tuple[list[ProbeRes
 
 
 def _green_diag(alpha: float, site: int, lam: float) -> float:
-    """Resolvent diagonal entry with relative tolerance (values can be huge)."""
-
-    def g(theta):
-        denom = (4.0 * np.sin(0.5 * theta) ** 2) ** alpha - lam
-        return np.sin(site * theta) ** 2 / denom
-
-    return float(quadrature.integrate_theta(g, tol=1e-13, rel=1e-10)) * 2.0 / math.pi
+    """Resolvent diagonal with relative tolerance; perfbench counts root evaluations here."""
+    return green.green_entry(alpha, site, site, lam, tol=1e-13, rel=1e-10)
 
 
 def solve_bs_lambda(alpha: float, site: int, c: float) -> float | None:
@@ -445,15 +441,15 @@ def solve_bs_lambda(alpha: float, site: int, c: float) -> float | None:
     if c <= 0.0:
         raise ValueError("coupling c > 0 required")
 
+    @cache  # brentq evaluates the bracket ends again
     def f(t):
         return c * _green_diag(alpha, site, -(10.0**t)) - 1.0
 
     hi = math.log10(4.0**alpha)  # -|lam| comparable to the norm: G is tiny there
     if f(_BS_LOG_FLOOR) <= 0.0:
         return None
-    if f(hi) >= 0.0:  # eigenvalue below -4^alpha: widen until bracketed
-        while f(hi) >= 0.0:
-            hi += 2.0
+    while f(hi) >= 0.0:  # eigenvalue below -4^alpha: widen until bracketed
+        hi += 2.0
     t = brentq(f, _BS_LOG_FLOOR, hi, xtol=1e-8)
     return -(10.0**t)
 

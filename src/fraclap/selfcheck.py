@@ -30,20 +30,20 @@ class SuiteResult:
     detail: str = ""
 
 
-def suite_entry_oracle(max_index: int = 30) -> SuiteResult:
+def suite_entry_oracle() -> SuiteResult:
     """Closed-form matrix entries against the angular quadrature oracle."""
     worst = 0.0
-    m, n = np.triu_indices(max_index)
+    m, n = np.triu_indices(30)
     for alpha in ENTRY_ALPHAS:
-        section = operators.assemble(alpha, max_index)
+        section = operators.assemble(alpha, 30)
         oracle = operators.entry_oracle(alpha, m + 1, n + 1, tol=1e-11)
         worst = max(worst, float(np.max(np.abs(section[m, n] - oracle))))
     return SuiteResult("entry_vs_oracle", worst <= 1e-9, worst, 1e-9)
 
 
-def suite_base_cases(size: int = 50) -> SuiteResult:
+def suite_base_cases() -> SuiteResult:
     """First power tridiagonal, squared power as padded product, inverse as min."""
-    worst = 0.0
+    worst, size = 0.0, 50
     first = operators.assemble(1.0, size)
     expected = 2.0 * np.eye(size) - np.eye(size, k=1) - np.eye(size, k=-1)
     exact_first = bool(np.array_equal(first, expected))
@@ -61,10 +61,10 @@ def suite_base_cases(size: int = 50) -> SuiteResult:
     return SuiteResult("base_cases", passed, worst, 1e-10, detail)
 
 
-def suite_in_identity(max_n: int = 20) -> SuiteResult:
+def suite_in_identity() -> SuiteResult:
     """Closed form of the weighted Chebyshev moment against quadrature."""
     worst = 0.0
-    n = np.arange(1, max_n + 1)
+    n = np.arange(1, 21)
     for alpha in IN_ALPHAS:
         closed = np.array([green.weighted_sq_integral(alpha, k) for k in n.tolist()])
         quad = green.weighted_sq_integral_quad(alpha, n, tol=1e-11)
@@ -72,10 +72,10 @@ def suite_in_identity(max_n: int = 20) -> SuiteResult:
     return SuiteResult("in_identity", worst <= 1e-9, worst, 1e-9)
 
 
-def suite_green_bounds(max_index: int = 10) -> SuiteResult:
+def suite_green_bounds() -> SuiteResult:
     """Resolvent entries dominated by both uniform bounds; C_1 = 1."""
     worst = 0.0  # most positive excess of |entry| over the smaller bound
-    m, n = np.triu_indices(max_index)
+    m, n = np.triu_indices(10)
     m, n = m + 1, n + 1
     pairs = list(zip(m.tolist(), n.tolist()))
     for alpha in BOUND_ALPHAS:
@@ -92,20 +92,20 @@ def suite_green_bounds(max_index: int = 10) -> SuiteResult:
     )
 
 
-def suite_bilap_site1(count: int = 50) -> SuiteResult:
+def suite_bilap_site1() -> SuiteResult:
     """Implicit bound state at site 1 against the rational closed form."""
     worst = 0.0
-    for c in np.logspace(-3.0, 3.0, count):
+    for c in np.logspace(-3.0, 3.0, 50):
         exact = bilaplacian.lambda_site1_closed(float(c))
         solved = bilaplacian.lambda_bound_state(1, float(c))
         worst = max(worst, abs(solved / exact - 1.0))
     return SuiteResult("bilap_site1_closed", worst <= 1e-12, worst, 1e-12)
 
 
-def suite_bilap_bs(max_site: int = 10) -> SuiteResult:
+def suite_bilap_bs() -> SuiteResult:
     """Bound-state residual of the scalar Birman-Schwinger equation."""
     worst = 0.0
-    for site in range(1, max_site + 1):
+    for site in range(1, 11):
         for c in (0.5, 2.0):
             lam = bilaplacian.lambda_bound_state(site, c)
             worst = max(worst, abs(-c * bilaplacian.green_entry(site, site, lam) + 1.0))

@@ -57,7 +57,7 @@ class TestJoukowskiParameters:
         lam = -2.0
         root = cmath.sqrt(complex(lam))
         xi, eta = _pair(lam)
-        swapped = (1.0 / _big_root(2.0 + root)[0], 1.0 / _big_root(2.0 - root)[0])
+        swapped = (1.0 / _big_root(2.0 + root, root)[0], 1.0 / _big_root(2.0 - root, -root)[0])
         assert xi == pytest.approx(swapped[1], rel=1e-14)
         assert eta == pytest.approx(swapped[0], rel=1e-14)
 

@@ -16,6 +16,8 @@ import fraclap
 from fraclap import cli, green, operators
 from fraclap.cli import CliError, main, parse_grid, parse_potential, parse_schedule
 
+HUGE = str(10**400)  # an index beyond float64
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -577,6 +579,17 @@ class TestExitCodes:
             ("in", "--alpha", "1e-310", "--n", "1"),
             # geometric grid ends of opposite signs
             ("gn", "--alpha", "0.75", "--n", "logspace:1:-1:3"),
+            # inputs whose float conversion or float power overflows (a huge
+            # --n at alpha = 1/2 is left out: its odd harmonic sum loops n times)
+            ("bounds", "--alpha", "0.75", "--m", HUGE, "--n", "1"),
+            ("gn", "--alpha", "0.75", "--n", HUGE),
+            ("in", "--alpha", "0.25", "--n", HUGE),
+            ("bilap-green", "--m", HUGE, "--n", "1", "--lam", "-1"),
+            ("hardy-check", "--alpha", "0.75", "--potential", f"delta:{HUGE}:0.5"),
+            ("probe-min-eig", "--alpha", "2", "--N", "5", "--potential", f"delta:{HUGE}:0.5"),
+            ("bilap-lambda", "--n", "1", "--c", "1e100"),
+            ("bilap-lambda", "--n", "1", "--c", "1e100", "--method", "small_c"),
+            ("probe-critical", "--alpha", "1.5", "--c", "1.7e308", "--schedule", "10"),
             # argparse drops a "--" attached to its flag
             ("hardy-check", "--alpha", "0.75", "--potential=--"),
             ("entry", "--alpha=--", "--m", "1", "--n", "1"),

@@ -68,6 +68,10 @@ class TestWeightSequence:
             vec = g_weight_values(alpha, 50)
             for n in (1, 7, 50):
                 assert vec[n - 1] == pytest.approx(g_weight(alpha, n), rel=1e-12)
+        # inside the removable windows both take the same 50-digit ratio
+        for alpha in (0.5 - 1e-7, 0.5 + 1e-7, 1.0 - 1e-7, 1.0 + 1e-7):
+            vec = g_weight_values(alpha, 50)
+            assert vec.tolist() == [g_weight(alpha, n) for n in range(1, 51)]
 
     def test_positive(self):
         for alpha in (0.1, 0.5, 0.9, 1.0, 1.1, 1.45):

@@ -1,11 +1,12 @@
 """Quadrature oracle: exact integrals, weights, and convergence behavior."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fraclap import green, operators, selfcheck
+from fraclap import green, operators, probes, selfcheck
 from fraclap.quadrature import QuadratureError, integrate_theta
 
 
@@ -153,10 +154,10 @@ class TestBatchedOracles:
     @pytest.mark.parametrize("alpha", selfcheck.BOUND_ALPHAS)
     def test_green_entry(self, alpha):
         m, n = np.triu_indices(10)
-        for lam in selfcheck.BOUND_LAMBDAS:
-            vals = green.green_entry(alpha, m + 1, n + 1, lam, tol=1e-11)
+        for lam, rel in itertools.product(selfcheck.BOUND_LAMBDAS, (0.0, 1e-10)):
+            vals = green.green_entry(alpha, m + 1, n + 1, lam, tol=1e-11, rel=rel)
             for i, j, val in zip(m.tolist(), n.tolist(), vals):
-                assert val == green.green_entry(alpha, i + 1, j + 1, lam, tol=1e-11)
+                assert val == green.green_entry(alpha, i + 1, j + 1, lam, tol=1e-11, rel=rel)
 
     @pytest.mark.parametrize("lam", [1.0 + 1.0j, -1.0 - 1.0j, 20.0 - 0.5j])
     def test_green_entry_complex(self, lam):
@@ -169,9 +170,10 @@ class TestBatchedOracles:
     @pytest.mark.parametrize("alpha", selfcheck.IN_ALPHAS)
     def test_weighted_sq_integral_quad(self, alpha):
         n = np.arange(1, 21)
-        vals = green.weighted_sq_integral_quad(alpha, n, tol=1e-11)
-        for k, val in zip(n.tolist(), vals):
-            assert val == green.weighted_sq_integral_quad(alpha, k, tol=1e-11)
+        for rel in (0.0, 1e-11):
+            vals = green.weighted_sq_integral_quad(alpha, n, tol=1e-11, rel=rel)
+            for k, val in zip(n.tolist(), vals):
+                assert val == green.weighted_sq_integral_quad(alpha, k, tol=1e-11, rel=rel)
 
     def test_scalar_values_recorded(self):
         # printed with repr (exact round trip) by the one-integral-per-call oracles
@@ -181,6 +183,14 @@ class TestBatchedOracles:
         assert green.weighted_sq_integral_quad(0.5 + 1e-7, 20, tol=1e-11) == 3.996862771605495
         assert green.green_entry(1.4, 10, 10, -1e-4, tol=1e-11) == 47.732812513609375
         assert green.green_entry(0.75, 2, 3, -1 - 1j) == 0.06423965789482758 - 0.08123774766192374j
+        # oracles that are one call of the batched ones: the rough constant (the
+        # n = 1 moment), the Birman-Schwinger diagonal and its root; and power
+        # Hardy weights in three regimes of the g_n majorant
+        assert green.rough_bound_const_quad(0.75) == 0.862964161901407
+        assert probes._green_diag(1.75, 1, -1e-6) == 8.399812842032432
+        assert probes.solve_bs_lambda(1.75, 1, 0.05) == -3.7171929734767376e-09
+        coeffs = [green.power_hardy_weight(a, 0.5).coeff for a in (0.25, 0.75, 1.25)]
+        assert coeffs == [0.3243075636968807, 0.26718517631237043, 0.058680742084716915]
 
     def test_scalar_return_types(self):
         assert type(operators.entry_oracle(1.5, 2, 3)) is float
