@@ -142,11 +142,12 @@ def entry(alpha: float, m: int, n: int) -> float:
 
 
 def assemble(alpha: float, size: int) -> np.ndarray:
-    """The leading size x size section of A(alpha), read-only.
+    """The leading size x size section of A(alpha), a fresh writable array.
 
     T - H from two strided views of the coefficients: row i of T is a
     window of c[N-1..1], c[0..N-1] read backwards, row i of H one of
-    c[2..2N].  The subtraction is the only N x N allocation.
+    c[2..2N].  The subtraction is the only N x N allocation, so callers
+    may shift or factor the result in place.
     """
     _check_exponent(alpha)
     if size < 1:
@@ -154,9 +155,7 @@ def assemble(alpha: float, size: int) -> np.ndarray:
     check_memory(8 * size * size, f"a dense {size} x {size} section")
     c = section_coefficients(alpha, size)
     mirrored = np.concatenate([c[size - 1 : 0 : -1], c[:size]])
-    mat = sliding_window_view(mirrored, size)[::-1] - sliding_window_view(c[2:], size)
-    mat.setflags(write=False)
-    return mat
+    return sliding_window_view(mirrored, size)[::-1] - sliding_window_view(c[2:], size)
 
 
 def section_coefficients(alpha: float, size: int) -> np.ndarray:
@@ -220,11 +219,16 @@ def assemble_band(alpha: float, size: int) -> np.ndarray:
 
 
 def assemble_reflected(alpha: float, size: int) -> np.ndarray:
-    """Section of 4^alpha * I - A(alpha), read-only; requires a positive power."""
+    """Section of 4^alpha * I - A(alpha), a fresh writable array; requires a positive power.
+
+    Negated in place and shifted on the diagonal, so the section of A(alpha)
+    is the only N x N allocation.  0 - A rather than -A keeps +0.0 where an
+    entry vanishes, so the values equal those of 4^alpha * I - A bit for bit.
+    """
     check_positive_power(alpha)
-    base = assemble(alpha, size)
-    mat = 4.0**alpha * np.eye(size) - base
-    mat.setflags(write=False)
+    mat = assemble(alpha, size)
+    np.subtract(0.0, mat, out=mat)
+    mat[np.diag_indices(size)] += 4.0**alpha
     return mat
 
 

@@ -15,6 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Callable
 
 import numpy as np
 from scipy import fft as sfft
@@ -25,8 +26,10 @@ from . import green, operators
 
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 
-#: smallest non-integer section solved as a sine transform plus a low-rank
-#: correction; below it the dense eigh is as fast (measured crossover)
+#: smallest non-integer section given a structured solver: a sine transform
+#: plus a low-rank correction, or Cholesky shift-invert Lanczos where the
+#: potential has too many sites for that; below it the dense eigh is as
+#: fast (measured crossover)
 TAU_LOWRANK_MIN_SIZE = 400
 
 #: most potential sites folded into the low-rank correction
@@ -61,10 +64,22 @@ _LOWRANK_COPIES = 5
 #: (212 and 428 bytes a site traced at alpha = 2 and 5, with N = 10^5)
 _BAND_COPIES = 9
 
-#: N x N float64 arrays alive at once during a dense probe: the section and
-#: its shifted copy, or the shifted copy and LAPACK's working copy (15.6 MB
-#: traced at N = 1000), and one to spare for the reflected assembly
-_DENSE_COPIES = 3
+#: N x N float64 arrays alive at once during a dense probe.  The eigh path
+#: holds the section, shifted in place, and LAPACK's working copy of it (or
+#: the |section| of its norm bound).  The shift-invert path holds the
+#: section alone, factored in place, and holds two only when it falls back
+#: to eigh.  Both assemblers allocate one array and modify it in place.
+_DENSE_COPIES = 2
+
+#: cap on the Lanczos steps of a shift-invert probe; Hardy-weight sections
+#: took 9 to 21 steps and alpha down to 0.005 at most 35 (N up to 2000),
+#: so reaching the cap means a cluster at the bottom, and eigh takes over
+_LANCZOS_STEPS = 64
+
+#: Lanczos stops once the residual of its largest Ritz pair of the inverse
+#: is below this relative to the Ritz value, a few rounding units (the
+#: criterion ARPACK applies with tol = 0)
+_LANCZOS_TOL = 4.0 * np.finfo(float).eps
 
 #: absolute floor below which a bound state cannot be separated from the
 #: rounding noise of a dense eigendecomposition (relative to the norm scale)
@@ -93,7 +108,7 @@ class ProbeResult:
     min_eigenvalue: float
     converged: bool
     residual: float
-    #: "band", "dense" or "tau_lowrank"; not printed
+    #: "band", "dense", "tau_lowrank" or "shift_invert"; not printed
     solver: str = "dense"
     #: rank of the low-rank correction on the tau_lowrank path, else 0
     rank: int = 0
@@ -318,6 +333,24 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
     return float(s), x
 
 
+def _section_operator(
+    alpha: float, coeffs: np.ndarray, values: np.ndarray, reflected: bool
+) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
+    """v -> (B - V) v through the FFT section product, and the bound 4^alpha + max V on |B - V|.
+
+    B is the section of A(alpha) with coefficients coeffs, or the reflected
+    4^alpha - A(alpha).  No N x N array is formed.
+    """
+    scale = 4.0**alpha
+    product = operators.section_product(coeffs)
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        bv = scale * v - product(v) if reflected else product(v)
+        return bv - values * v
+
+    return apply, scale + float(values.max(initial=0.0))
+
+
 def _probe_tau_lowrank(
     alpha: float, size: int, values: np.ndarray, descriptor: str, reflected: bool
 ) -> ProbeResult:
@@ -337,7 +370,6 @@ def _probe_tau_lowrank(
     """
     scale = 4.0**alpha
     coeffs = operators.section_coefficients(alpha, size)
-    product = operators.section_product(coeffs)
     theta = np.arange(1, size + 1) * (math.pi / (size + 1))
     f = (2.0 * np.sin(0.5 * theta)) ** (2.0 * alpha)
     correction = operators.section_product(coeffs - _tau_coefficients(f))
@@ -351,12 +383,82 @@ def _probe_tau_lowrank(
     if reflected:
         d, signs[: lam.size] = scale - f, -signs[: lam.size]
 
-    norm_scale = scale + float(values.max(initial=0.0))  # |B - V| <= 4^alpha + max V
+    apply, norm_scale = _section_operator(alpha, coeffs, values, reflected)
     lam_min, x = _model_min_eigenpair(d, w, signs, norm_scale)
     v = _dst(x)
-    bv = scale * v - product(v) if reflected else product(v)
-    residual = float(np.linalg.norm(bv - values * v - lam_min * v))
+    residual = float(np.linalg.norm(apply(v) - lam_min * v))
     return _result(alpha, size, descriptor, lam_min, residual, norm_scale, "tau_lowrank", lam.size)
+
+
+def _dense_section(alpha: float, size: int, values: np.ndarray, reflected: bool) -> np.ndarray:
+    """The size x size section of B - V as one fresh N x N array."""
+    assemble = operators.assemble_reflected if reflected else operators.assemble
+    mat = assemble(alpha, size)
+    mat[np.diag_indices(size)] -= values
+    return mat
+
+
+def _shift_invert_vector(mat: np.ndarray, shift: float) -> np.ndarray | None:
+    """Unit vector for the smallest eigenvalue of the symmetric mat, or None.
+
+    mat + shift*I is Cholesky-factored in place: mat.T is Fortran-ordered,
+    so LAPACK overwrites mat and makes no copy.  A failed factorization
+    means an eigenvalue below -shift, and gives None.  Otherwise Lanczos
+    with full reorthogonalization runs on the inverse, one pair of
+    triangular solves a step, from a fixed start.  The smallest eigenvalue
+    of mat is the largest of the inverse, and the spectral transformation
+    sets it apart from the rest (Ericsson and Ruhe, Math. Comp. 35, 1980).
+    None also when no Ritz pair converges within _LANCZOS_STEPS.
+    """
+    size = mat.shape[0]
+    mat[np.diag_indices(size)] += shift
+    try:
+        factor = linalg.cho_factor(mat.T, overwrite_a=True, check_finite=False)
+    except linalg.LinAlgError:
+        return None
+    basis = np.empty((_LANCZOS_STEPS, size))
+    q = np.random.default_rng(0).standard_normal(size)
+    q /= np.linalg.norm(q)
+    diag, offdiag = [], []
+    for step in range(_LANCZOS_STEPS):
+        basis[step] = q
+        krylov = basis[: step + 1]
+        w = linalg.cho_solve(factor, q, check_finite=False)
+        diag.append(float(q @ w))
+        for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
+            w -= krylov.T @ (krylov @ w)
+        beta = float(np.linalg.norm(w))
+        theta, s = linalg.eigh_tridiagonal(diag, offdiag)
+        if beta * abs(s[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
+            v = krylov.T @ s[:, -1]
+            return v / np.linalg.norm(v)
+        offdiag.append(beta)
+        q = w / beta
+    return None
+
+
+def _probe_shift_invert(
+    alpha: float, size: int, values: np.ndarray, descriptor: str, reflected: bool
+) -> ProbeResult:
+    """Smallest eigenpair of a section of B - V by Cholesky shift-invert Lanczos.
+
+    The shift is probe_tol(alpha), so the factorization succeeds exactly
+    when the section passes the non-negativity test, up to its backward
+    error.  The eigenvalue is the Rayleigh quotient of the Lanczos vector
+    and the residual is taken against the true section, both through the
+    FFT product, so one N x N array is alive at a time.  Where the
+    factorization fails or Lanczos does not converge, the section is
+    assembled again and solved by eigh.
+    """
+    v = _shift_invert_vector(_dense_section(alpha, size, values, reflected), probe_tol(alpha))
+    if v is None:
+        return _probe_dense(alpha, _dense_section(alpha, size, values, reflected), descriptor)
+    coeffs = operators.section_coefficients(alpha, size)
+    apply, norm_scale = _section_operator(alpha, coeffs, values, reflected)
+    bv = apply(v)
+    lam = float(v @ bv)
+    residual = float(np.linalg.norm(bv - lam * v))
+    return _result(alpha, size, descriptor, lam, residual, norm_scale, "shift_invert")
 
 
 def _section_probe(
@@ -369,20 +471,22 @@ def _section_probe(
 
     * banded (integer) powers are assembled and solved in band storage
       and never densified;
-    * other powers with a potential on at most _LOWRANK_MAX_SUPPORT sites
-      and size >= TAU_LOWRANK_MIN_SIZE go to :func:`_probe_tau_lowrank`;
-    * the rest (smaller sections, power Hardy weights) is solved dense.
+    * other powers from size TAU_LOWRANK_MIN_SIZE go to
+      :func:`_probe_tau_lowrank` with a potential on at most
+      _LOWRANK_MAX_SUPPORT sites, and to :func:`_probe_shift_invert` with
+      more (power Hardy weights, power potentials);
+    * smaller sections are solved dense by eigh.
 
     Each path's working set is checked against physical memory before it
     is formed, the potential's values included.
     """
     banded = operators.is_banded(alpha)
-    lowrank = not banded and size >= TAU_LOWRANK_MIN_SIZE
+    structured = not banded and size >= TAU_LOWRANK_MIN_SIZE
     if banded:
         operators.check_memory(
             _BAND_COPIES * 8 * size * (int(alpha) + 1), f"a banded {size}-site section"
         )
-    elif lowrank:  # the cheaper of the two remaining paths
+    elif structured:  # the cheaper of its two paths
         operators.check_memory(
             _LOWRANK_COPIES * 8 * 3 * size * (_LOWRANK_SAMPLES + _LOWRANK_PROBES),
             f"a low-rank probe of a {size}-site section",
@@ -395,13 +499,12 @@ def _section_probe(
             ab[0] += 4.0**alpha
         ab[0] -= values
         return _probe_band(alpha, ab, descriptor)
-    if lowrank and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
+    if structured and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
         return _probe_tau_lowrank(alpha, size, values, descriptor, reflected)
     operators.check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
-    assemble = operators.assemble_reflected if reflected else operators.assemble
-    mat = assemble(alpha, size).copy()
-    mat[np.diag_indices(size)] -= values
-    return _probe_dense(alpha, mat, descriptor)
+    if structured:
+        return _probe_shift_invert(alpha, size, values, descriptor, reflected)
+    return _probe_dense(alpha, _dense_section(alpha, size, values, reflected), descriptor)
 
 
 def min_eig(alpha: float, size: int, pot: green.Potential) -> ProbeResult:

@@ -81,6 +81,12 @@ def test_removable_window_loads_mpmath():
     assert "mpmath" in loaded_modules("gn", "--alpha", "0.5000001", "--n", "5")
 
 
+def test_shift_invert_probe_loads_no_sparse():
+    # scipy.sparse.linalg would cost about 0.45 s of start-up on every probe
+    modules = loaded_modules("probe-hardy", "--alpha", "0.5", "--epsilon", "0.5", "--schedule", "400,800")
+    assert not {m for m in modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")}
+
+
 def test_help_loads_no_library_module():
     modules = loaded_modules("--help")
     assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}

@@ -199,10 +199,13 @@ class TestSerialization:
         back = np.loadtxt(buf, delimiter=",", ndmin=2)
         assert np.array_equal(back, op)
 
-    def test_entries_read_only(self):
-        for mat in (assemble(1.0, 5), assemble(0.75, 5), assemble_reflected(1.5, 5)):
-            with pytest.raises(ValueError):
-                mat[0, 0] = 99.0
+    def test_sections_fresh_and_writable(self):
+        # callers shift and factor sections in place: no call may see another's writes
+        for build, alpha in ((assemble, 1.0), (assemble, 0.75), (assemble_reflected, 1.5)):
+            mat = build(alpha, 5)
+            expected = mat.copy()
+            mat[0, 0] = 99.0
+            assert np.array_equal(build(alpha, 5), expected)
 
 
 class TestSectionProduct:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,7 +199,8 @@ class TestTauLowrankPath:
         delta = green.Potential.delta(1, 0.05)
         assert min_eig(1.5, above, delta).solver == "tau_lowrank"
         assert min_eig(1.5, below, delta).solver == "dense"
-        assert min_eig(1.5, above, green.power_hardy_weight(1.25, 0.5)).solver == "dense"
+        assert min_eig(1.5, above, green.power_hardy_weight(1.25, 0.5)).solver == "shift_invert"
+        assert min_eig(1.5, below, green.power_hardy_weight(1.25, 0.5)).solver == "dense"
         assert min_eig(2.0, above, delta).solver == "band"
         assert min_eig(1.5, below, delta).rank == 0
 
@@ -228,6 +230,69 @@ class TestTauLowrankPath:
         # the low-rank path checks its O(N) working set the same way
         with pytest.raises(ValueError, match="physical memory"):
             min_eig(1.5, probes.TAU_LOWRANK_MIN_SIZE, green.Potential.delta(1, 0.1))
+
+
+class TestShiftInvertPath:
+    """Sections with a potential on many sites, from the crossover up, by Cholesky shift-invert."""
+
+    @pytest.mark.parametrize(
+        "alpha, size", [(0.25, 400), (0.5, 2000), (0.75, 1000), (1.25, 400), (1.4, 1000)]
+    )
+    def test_grid_matches_eigvalsh(self, alpha, size):
+        budget = 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+        cases = [
+            (green.power_hardy_weight(alpha, 0.5), False),
+            (green.Potential.power(0.01, 3.0), False),
+            (green.Potential.power(0.01, 2.0), True),
+        ]
+        for pot, reflected in cases:
+            assert np.count_nonzero(pot.values(size)) > probes._LOWRANK_MAX_SUPPORT
+            res = probes._section_probe(alpha, size, pot, "", reflected=reflected)
+            assert res.solver == "shift_invert" and res.size == size
+            assert abs(res.min_eigenvalue - _dense_min(alpha, size, pot, reflected)) <= budget
+            assert res.converged
+
+    def test_holds_one_section_array(self):
+        # the factor overwrites the section, and the Rayleigh quotient and
+        # residual go through the FFT product
+        alpha, size, pot = 0.75, 600, green.power_hardy_weight(0.75, 0.5)
+        min_eig(alpha, size, pot)  # imports and first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            res = min_eig(alpha, size, pot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.solver == "shift_invert"
+        assert peak < 1.5 * 8 * size * size
+
+    def test_negative_section_falls_back_to_eigh(self):
+        # a deep well: the factorization of B - V + tol*I fails
+        alpha, size, pot = 0.75, 500, green.Potential.power(5.0, 2.0)
+        res = min_eig(alpha, size, pot)
+        exact = _dense_min(alpha, size, pot)
+        assert res.min_eigenvalue < 0.0 and res.solver == "dense" and res.converged
+        assert abs(res.min_eigenvalue - exact) <= 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+
+    def test_step_cap_falls_back_to_eigh(self, monkeypatch):
+        monkeypatch.setattr(probes, "_LANCZOS_STEPS", 2)
+        alpha, size, pot = 0.5, 600, green.power_hardy_weight(0.5, 0.5)
+        res = min_eig(alpha, size, pot)
+        assert res.solver == "dense" and res.converged
+        assert abs(res.min_eigenvalue - _dense_min(alpha, size, pot)) <= 1e-14 * (1.0 + 4.0**alpha)
+
+    def test_probe_hardy_never_calls_eigh(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh above the crossover")
+
+        monkeypatch.setattr(probes, "eigh", refuse)
+        n = probes.TAU_LOWRANK_MIN_SIZE
+        schedule = f"{n},{2 * n},{4 * n}"
+        for alpha in ("0.25", "0.5", "1.25"):
+            argv = ["probe-hardy", "--alpha", alpha, "--epsilon", "0.5", "--schedule", schedule]
+            assert cli.main(argv + ["--format", "json"]) == 0
+            captured = capsys.readouterr()
+            assert json.loads(captured.out)["verdict"] == "nonnegative" and captured.err == ""
 
 
 class TestConvergenceSeries:
