@@ -180,7 +180,7 @@ def _cmd_gn(args):
     ns = [int(v) for v in parse_grid(args.n)]
     if len(ns) == 1:
         return _fmt(green.g_weight(args.alpha, ns[0]), args.digits), 0
-    rows = [(n, green.g_weight(args.alpha, n)) for n in ns]
+    rows = list(zip(ns, green.g_weight(args.alpha, np.array(ns, dtype=float)).tolist()))
     return _table(["n", "g_n"], rows, args.format, args.digits), 0
 
 
@@ -190,7 +190,7 @@ def _cmd_in(args):
     ns = [int(v) for v in parse_grid(args.n)]
     if len(ns) == 1:
         return _fmt(green.weighted_sq_integral(args.alpha, ns[0]), args.digits), 0
-    rows = [(n, green.weighted_sq_integral(args.alpha, n)) for n in ns]
+    rows = list(zip(ns, green.weighted_sq_integral(args.alpha, np.array(ns, dtype=float)).tolist()))
     return _table(["n", "I_n"], rows, args.format, args.digits), 0
 
 

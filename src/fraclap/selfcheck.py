@@ -66,7 +66,7 @@ def suite_in_identity() -> SuiteResult:
     worst = 0.0
     n = np.arange(1, 21)
     for alpha in IN_ALPHAS:
-        closed = np.array([green.weighted_sq_integral(alpha, k) for k in n.tolist()])
+        closed = green.weighted_sq_integral(alpha, n)
         quad = green.weighted_sq_integral_quad(alpha, n, tol=1e-11)
         worst = max(worst, float(np.max(np.abs(closed - quad))))
     return SuiteResult("in_identity", worst <= 1e-9, worst, 1e-9)
@@ -77,11 +77,8 @@ def suite_green_bounds() -> SuiteResult:
     worst = 0.0  # most positive excess of |entry| over the smaller bound
     m, n = np.triu_indices(10)
     m, n = m + 1, n + 1
-    pairs = list(zip(m.tolist(), n.tolist()))
     for alpha in BOUND_ALPHAS:
-        rough = [green.uniform_bound_rough(alpha, i, j) for i, j in pairs]
-        refined = [green.uniform_bound_refined(alpha, i, j) for i, j in pairs]
-        cap = np.minimum(rough, refined)
+        cap = np.minimum(green.uniform_bound_rough(alpha, m, n), green.uniform_bound_refined(alpha, m, n))
         for lam in BOUND_LAMBDAS:
             val = np.abs(green.green_entry(alpha, m, n, lam, tol=1e-11))
             worst = max(worst, float(np.max(val - cap)))

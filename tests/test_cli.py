@@ -112,7 +112,7 @@ class TestRecordedOutputs:
 _SELFTEST_TABLE = """\
 entry_vs_oracle          PASS  worst=2.309e-14  tol=1.0e-09
 base_cases               PASS  worst=0.000e+00  tol=1.0e-10
-in_identity              PASS  worst=7.822e-11  tol=1.0e-09
+in_identity              PASS  worst=5.457e-12  tol=1.0e-09
 green_bounds             PASS  worst=0.000e+00  tol=1.0e-10  [C_1 error 0.000e+00]
 bilap_site1_closed       PASS  worst=3.375e-14  tol=1.0e-12
 bilap_birman_schwinger   PASS  worst=1.554e-15  tol=1.0e-09
@@ -126,14 +126,13 @@ _FIXED_OUTPUTS = [
     (("entry", "--alpha", "1.5", "--m", "2", "--n", "3"), "-2.0405751851153489\n"),
     (
         ("gn", "--alpha", "0.75", "--n", "1:20:5"),
-        "1 3.200000000000002\n5 8.3576119730277583\n10 12.23211404740387\n"
-        "15 15.205612327266561\n20 17.712487186613139\n",
+        "1 3.2000000000000011\n5 8.3576119730277956\n10 12.232114047403734\n"
+        "15 15.205612327266394\n20 17.712487186613124\n",
     ),
-    # inside the extended-precision window around alpha = 1/2
     (("in", "--alpha", "0.5000001", "--n", "7"), "3.2546575957623132\n"),
     (
         ("bounds", "--alpha", "1.25", "--m", "3", "--n", "4"),
-        "C_alpha 1.573787465354795\nrough 18.88544958425754\nrefined 9.7843957008793367\n",
+        "C_alpha 1.573787465354795\nrough 18.88544958425754\nrefined 9.7843957008793385\n",
     ),
     (("green", "--alpha", "0.75", "--m", "2", "--n", "5", "--lam", "-0.5"), "0.06621589929506945\n"),
     (("bilap-green", "--m", "2", "--n", "3", "--lam=-1e-4"), "33.252463770292074\n"),
@@ -142,7 +141,7 @@ _FIXED_OUTPUTS = [
     (("bilap-lambda", "--n", "4", "--c", "1e-9"), "-1.6383997247488261e-32\n"),
     (
         ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2"),
-        "decision admissible\npartial_sum 0.09277167836849938\n"
+        "decision admissible\npartial_sum 0.092771678368504445\n"
         "tail_bound 0.00033600000000000009\nthreshold 3.708149354602746\n",
     ),
     (

@@ -76,9 +76,17 @@ def test_hardy_weight_loads_mpmath_for_zeta_only():
     assert "scipy.optimize" not in modules
 
 
-def test_removable_window_loads_mpmath():
-    # the guard sees what a handler imports on first use
-    assert "mpmath" in loaded_modules("gn", "--alpha", "0.5000001", "--n", "5")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gn", "--alpha", "0.5000001", "--n", "5"),
+        ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_weight_sequence_loads_no_special(argv):
+    # g_n needs numpy and math alone, next to 1/2 and 1 too
+    assert not {"mpmath", "scipy.special"} & loaded_modules(*argv)
 
 
 def test_shift_invert_probe_loads_no_sparse():
