@@ -234,32 +234,38 @@ def _lowrank_correction(apply, size: int, tol: float) -> tuple[np.ndarray, np.nd
     """(U, lam) with E ~ U diag(lam) U^T for the symmetric operator X -> apply(X).
 
     A randomized range finder (Halko, Martinsson and Tropp 2011) from a
-    fixed seed, with one power step re-orthonormalized by QR: an unscaled
-    power step would lose everything below sqrt(eps) * |E|.  The rank keeps
-    the eigenvalues of the compression above tol.  The sample count doubles,
-    up to _LOWRANK_MAX_SAMPLES, until the a-posteriori estimate of
-    |E - U diag(lam) U^T|, taken on independent test columns, is within
-    _LOWRANK_ACCEPT * tol.  The rounding of the FFT product alone puts that
-    estimate at 1e-15 to 5e-15 times 4^alpha (measured for N from 400 to
-    20 000), so a bound of tol itself would never be met.
+    fixed seed.  The rank keeps the eigenvalues of the compression Q^T E Q
+    above tol, and the a-posteriori estimate of |E - U diag(lam) U^T|,
+    taken on independent test columns, must be within _LOWRANK_ACCEPT * tol.
+    The first basis is Q = qr(E Omega); only if its estimate fails is one
+    power step taken from the product E Q the compression already made,
+    re-orthonormalized by QR (an unscaled power step would lose everything
+    below sqrt(eps) * |E|).  If that fails too, the sample count doubles,
+    up to _LOWRANK_MAX_SAMPLES.  The rounding of the FFT product alone puts
+    the estimate at 1e-15 to 5e-15 times 4^alpha (measured for N from 400
+    to 20 000), so a bound of tol itself would never be met.
     """
     rng = np.random.default_rng(0)
     samples = _LOWRANK_SAMPLES
     while True:
         omega = rng.standard_normal((size, samples + _LOWRANK_PROBES))
         sampled = apply(omega)
-        q = linalg.qr(sampled[:, :samples], mode="economic")[0]
-        q = linalg.qr(apply(q), mode="economic")[0]
-        compressed = q.T @ apply(q)
-        lam, vecs = linalg.eigh(0.5 * (compressed + compressed.T))
-        keep = np.abs(lam) > tol
-        u, lam = q @ vecs[:, keep], lam[keep]
         tests, images = omega[:, samples:], sampled[:, samples:]
-        misfit = images - u @ (lam[:, None] * (u.T @ tests))
-        estimate = _HALKO_FACTOR * float(
-            (np.linalg.norm(misfit, axis=0) / np.linalg.norm(tests, axis=0)).max()
-        )
-        if estimate <= _LOWRANK_ACCEPT * tol or samples >= _LOWRANK_MAX_SAMPLES:
+        image = sampled[:, :samples]
+        for _ in range(2):  # the first basis, then one power step
+            q = linalg.qr(image, mode="economic")[0]
+            image = apply(q)
+            compressed = q.T @ image
+            lam, vecs = linalg.eigh(0.5 * (compressed + compressed.T))
+            keep = np.abs(lam) > tol
+            u, lam = q @ vecs[:, keep], lam[keep]
+            misfit = images - u @ (lam[:, None] * (u.T @ tests))
+            estimate = _HALKO_FACTOR * float(
+                (np.linalg.norm(misfit, axis=0) / np.linalg.norm(tests, axis=0)).max()
+            )
+            if estimate <= _LOWRANK_ACCEPT * tol:
+                return u, lam
+        if samples >= _LOWRANK_MAX_SAMPLES:
             return u, lam
         samples *= 2
 
@@ -276,8 +282,12 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
     matrix M(s) = diag(signs) + W^T (D - s)^-1 W.  Every eigenvalue of M
     increases with s (its derivative is W^T (D - s)^-2 W), so lambda_min is
     where the m-th smallest, m = #(signs < 0), crosses zero; a Newton step
-    on that eigenvalue, safeguarded by bisection, finds it.  The eigenvector
-    comes from Woodbury inverse iteration in the same model.
+    on that eigenvalue, safeguarded by bisection, finds it.  The search
+    stops at the first Newton step shorter than the rounding margin
+    4 eps (|s| + norm_scale) that lo and hi carry, and bisects only where a
+    step leaves (lo, hi): once Newton has converged its step is zero or
+    lands on hi, which is no reason to bisect.  The eigenvector comes from
+    Woodbury inverse iteration in the same model.
     """
     eps = np.finfo(float).eps
     weights = w**2
@@ -311,11 +321,15 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
         else:
             hi = s
         slope = float((((w @ vecs[:, index]) * g) ** 2).sum())
-        step = s - nu[index] / slope if slope > 0.0 else s
+        step = s - nu[index] / slope if slope > 0.0 else math.nan  # nan fails both tests
+        # a Newton step within the rounding margin that lo and hi carry: converged
+        if abs(step - s) <= 4.0 * eps * (abs(s) + norm_scale):
+            s = step
+            break
         if not lo < step < hi:
             step = 0.5 * (lo + hi)
-        # a few rounding units: below that the steps follow rounding noise
-        done = abs(step - s) <= 8.0 * eps * abs(s) or hi - lo <= 8.0 * eps * max(abs(lo), abs(hi))
+        # a bracket a few rounding units wide: the steps follow rounding noise
+        done = hi - lo <= 8.0 * eps * max(abs(lo), abs(hi))
         s = step
         if done:
             break

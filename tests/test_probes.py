@@ -177,21 +177,109 @@ class TestTauLowrankPath:
         printed = dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines())
         assert float(printed["min_eig"]) == res.min_eigenvalue
 
-    def test_model_eigenvalue_counts_signs_right(self):
+    @staticmethod
+    def _count_small_eigh(monkeypatch):
+        calls = []
+        eigh = probes.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(probes.linalg, "eigh", counted)
+        return calls
+
+    def test_model_eigenvalue_counts_signs_right(self, monkeypatch):
         # D + W diag(signs) W^T with mixed signs, lambda_min below, at and
         # above the smallest pole: a wrong sign in the inertia count picks
         # another eigenvalue of the secular matrix
+        calls = self._count_small_eigh(monkeypatch)
         rng = np.random.default_rng(5)
         for trial in range(40):
             n, r = 60, int(rng.integers(1, 6))
             d = np.sort(rng.uniform(0.0, 4.0, n))
             w = rng.standard_normal((n, r)) * 10.0 ** rng.uniform(-4, 0)
             signs = rng.choice([-1.0, 1.0], r)
+            calls.clear()
             lam, x = probes._model_min_eigenpair(d, w, signs, 4.0 + float((w**2).sum()))
+            assert len(calls) <= 12, trial  # root steps; restarting a converged root took up to 45
             h = np.diag(d) + (w * signs) @ w.T
             exact = np.linalg.eigvalsh(h)[0]
             assert abs(lam - exact) <= 1e-13 * (1.0 + np.abs(h).sum(axis=1).max()), trial
             assert np.linalg.norm(h @ x - lam * x) <= 1e-10
+
+    def test_converged_root_is_not_restarted(self, monkeypatch):
+        # Newton reaches nu = 0 on this root; bisecting from there took 61 eigh calls
+        calls = self._count_small_eigh(monkeypatch)
+        pot = green.Potential.delta(1, 0.05)
+        res = probes._probe_tau_lowrank(1.25, 500, pot.values(500), "", False)
+        assert len(calls) <= 10
+        assert abs(res.min_eigenvalue - _dense_min(1.25, 500, pot)) <= 1e-14 * (1.0 + 4.0**1.25)
+
+    def test_power_step_only_on_demand(self, monkeypatch):
+        # samples + probes columns, a compression, the residual's one column
+        widths = []
+        section_product = operators.section_product
+
+        def counted(coeffs):
+            product = section_product(coeffs)
+
+            def apply(v):
+                widths.append(1 if v.ndim == 1 else v.shape[1])
+                return product(v)
+
+            return apply
+
+        monkeypatch.setattr(operators, "section_product", counted)
+        min_eig(1.5, 1000, green.Potential.delta(1, 0.05))
+        samples, tests = probes._LOWRANK_SAMPLES, probes._LOWRANK_PROBES
+        assert sum(widths) == (samples + tests) + samples + 1 == 69
+
+    @pytest.mark.parametrize("alpha, size", [(0.25, 400), (1.25, 1000), (1.75, 500), (3.3, 1000)])
+    def test_correction_meets_its_estimate(self, monkeypatch, alpha, size):
+        # the returned correction passes the Halko test on the columns the
+        # range finder drew, unless it stopped at the largest sample count
+        samplings, returned = [], []
+        lowrank_correction = probes._lowrank_correction
+
+        def recorded(apply, size, tol):
+            def tracked(x):
+                image = apply(x)
+                if x.shape[1] % probes._LOWRANK_SAMPLES:  # samples + probes columns
+                    samplings.append((x, image))
+                return image
+
+            returned.append((tol, *lowrank_correction(tracked, size, tol)))
+            return returned[-1][1:]
+
+        monkeypatch.setattr(probes, "_lowrank_correction", recorded)
+        probes._probe_tau_lowrank(alpha, size, green.Potential.delta(1, 0.1).values(size), "", False)
+        ((tol, u, lam),) = returned
+        omega, sampled = samplings[-1]
+        samples = omega.shape[1] - probes._LOWRANK_PROBES
+        tests, images = omega[:, samples:], sampled[:, samples:]
+        misfit = images - u @ (lam[:, None] * (u.T @ tests))
+        estimate = probes._HALKO_FACTOR * (
+            np.linalg.norm(misfit, axis=0) / np.linalg.norm(tests, axis=0)
+        ).max()
+        assert estimate <= probes._LOWRANK_ACCEPT * tol or samples == probes._LOWRANK_MAX_SAMPLES
+
+    def test_range_finder_stops_at_largest_sample_count(self, monkeypatch):
+        # an estimate that never passes: each round compresses, takes its
+        # power step and compresses again, then the sample count doubles
+        monkeypatch.setattr(probes, "_LOWRANK_ACCEPT", 0.0)
+        monkeypatch.setattr(probes, "_LOWRANK_MAX_SAMPLES", 2 * probes._LOWRANK_SAMPLES)
+        widths = []
+        product = operators.section_product(operators.section_coefficients(0.75, 400))
+
+        def apply(x):
+            widths.append(x.shape[1])
+            return product(x)
+
+        u, lam = probes._lowrank_correction(apply, 400, 1e-15)
+        samples, tests = probes._LOWRANK_SAMPLES, probes._LOWRANK_PROBES
+        assert widths == [samples + tests, samples, samples, 2 * samples + tests, 2 * samples, 2 * samples]
+        assert u.shape == (400, lam.size)
 
     def test_dispatch(self):
         above, below = probes.TAU_LOWRANK_MIN_SIZE, probes.TAU_LOWRANK_MIN_SIZE - 1
