@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -27,8 +27,18 @@ from . import operators, quadrature
 #: threshold by more than ~1e-12 relative stays inconclusive.
 _THRESHOLD_SLACK = 1e-12
 
-#: terms converted to Python floats at a time by the admissibility series
-_FSUM_CHUNK = 4096
+#: sites per block of the admissibility series and of the kpp domination check:
+#: a float64 temporary of 2^13 values (64 KiB) stays below glibc's 128 KiB mmap
+#: threshold, so blocks reuse heap pages instead of faulting in fresh ones, and
+#: it stays in L2
+_BLOCK = 1 << 13
+
+#: longest admissibility series, under a minute of CPU time
+_MAX_TERMS = 1 << 30
+
+#: terms below this size keep every sum of at most _MAX_TERMS of them, or of
+#: their extracted parts, at most 2^1011: none of them overflows
+_MAX_EXTRACTED = 2.0**980
 
 
 def _check_subcritical_range(alpha: float) -> None:
@@ -352,11 +362,15 @@ class Potential:
             return self.coeff / n**self.exponent
         if self.kind == "delta":
             return np.where(n == self.site, self.coeff, 0.0)
-        data = np.asarray(self.data, dtype=float)
-        inside = n <= data.size
+        inside = n <= self._data.size
         out = np.zeros(n.shape)
-        out[inside] = data[n[inside].astype(int) - 1]
+        out[inside] = self._data[n[inside].astype(int) - 1]
         return out
+
+    @cached_property
+    def _data(self) -> np.ndarray:
+        """data as a float array, converted once for the many blocks of a series."""
+        return np.asarray(self.data, dtype=float)
 
     def describe(self) -> str:
         if self.kind == "power":
@@ -445,22 +459,59 @@ def _kpp_quadratic_coeff() -> float:
     return float(np.max(n**2 * _kpp_values(n))) * (1.0 + 1e-12)
 
 
+def site_blocks(count: int):
+    """The sites 1, ..., count as float arrays of at most _BLOCK consecutive sites."""
+    for start in range(1, count + 1, _BLOCK):
+        yield np.arange(start, min(start + _BLOCK, count + 1), dtype=float)
+
+
+def _block_fsum(values, count: int) -> float:
+    """math.fsum of values(n) over the sites n of site_blocks(count), bit for bit.
+
+    Two extractions q = (sigma + p) - sigma split each block exactly as p = q1 +
+    q2 + r (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008).  sigma is a
+    power of two at least _BLOCK max|p|, so the q of a block are multiples of
+    ulp(sigma)/2 no larger than sigma/_BLOCK, and float64 sums them exactly in
+    any order.  The exact total is then T + R, T the sum of the block sums of
+    q and |R| <= E = sum of _BLOCK max|r|.  Rounding is monotone, so when fsum
+    rounds T - E and T + E to one float, fsum of all values is that float.
+    Otherwise (a total within E of a rounding boundary, a zero total, whose
+    sign fsum decides, or a term that is not finite or exceeds _MAX_EXTRACTED),
+    fsum runs over all values.
+    """
+    parts, slack = [], []
+    for n in site_blocks(count):
+        p = values(n)
+        top = float(np.max(np.abs(p)))
+        if not top < _MAX_EXTRACTED:
+            break
+        for _ in range(2):
+            if top == 0.0:
+                break
+            sigma = _BLOCK * math.ldexp(1.0, math.frexp(top)[1])
+            q = (sigma + p) - sigma
+            parts.append(float(np.sum(q)))
+            p = p - q
+            top = float(np.max(np.abs(p)))
+        slack.append(_BLOCK * top)
+    else:
+        hi = math.fsum(parts + slack)
+        if hi == math.fsum(parts + [-e for e in slack]) != 0.0:
+            return hi
+    return math.fsum(x for n in site_blocks(count) for x in values(n).tolist())
+
+
 def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, float]:
     """(partial sum, tail upper bound) of sum g_weight(alpha, n) V_n."""
     if terms < 1:
         raise ValueError(f"the series needs terms >= 1, got {terms}")
     if pot.kind == "delta":
         return pot.coeff * g_weight(alpha, pot.site), 0.0
-    # the values, the weights and their temporaries: up to 41 bytes a term
-    # were traced, so 10 float64 a term bound them
-    operators.check_memory(10 * 8 * terms, f"an admissibility series of {terms} terms")
-    n = np.arange(1.0, terms + 1.0)
-    products = g_weight(alpha, n) * pot.at(n)
-    # fsum is correctly rounded, so any grouping gives the same sum; it reads
-    # Python floats (tolist) faster than numpy scalars, and chunks keep only
-    # _FSUM_CHUNK of them alive, not 10^5 (3 MB) at once
-    chunks = (products[i : i + _FSUM_CHUNK].tolist() for i in range(0, terms, _FSUM_CHUNK))
-    partial = math.fsum(itertools.chain.from_iterable(chunks))
+    if terms > _MAX_TERMS:
+        raise ValueError(f"the series takes at most {_MAX_TERMS} terms, got {terms}")
+    # g_n V_n is formed and summed one block at a time, so its memory does not
+    # grow with terms; the sum is math.fsum's correctly rounded one
+    partial = _block_fsum(lambda n: g_weight(alpha, n) * pot.at(n), terms)
     if pot.kind == "power":
         tail = _power_tail_bound(alpha, pot.coeff, pot.exponent, terms)
     elif pot.kind == "classical_hardy":

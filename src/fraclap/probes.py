@@ -91,9 +91,6 @@ _BS_LOG_FLOOR = -300.0
 #: banded solves of the inverse iteration behind each integer-power probe
 _INVERSE_STEPS = 2
 
-#: sites per chunk of the kpp domination check, which bounds its memory
-_KPP_CHUNK = 1 << 16
-
 
 def probe_tol(alpha: float) -> float:
     """Non-negativity tolerance, scaled with the operator norm 4^alpha."""
@@ -696,12 +693,8 @@ def kpp_witness(schedule=DEFAULT_SCHEDULE) -> ScanRecord:
     pot = green.Potential.kpp()
     hardy = green.Potential.classical_hardy()
     results, series = _series(1.0, pot, schedule)
-    big = 1_000_000
-    chunks = (
-        np.arange(start, min(start + _KPP_CHUNK, big + 1), dtype=float)
-        for start in range(1, big + 1, _KPP_CHUNK)
-    )
-    dominates = all(bool(np.all(pot.at(n) > hardy.at(n))) for n in chunks)
+    blocks = green.site_blocks(1_000_000)
+    dominates = all(bool(np.all(pot.at(n) > hardy.at(n))) for n in blocks)
     n = np.array([10**3, 10**4, 10**5], dtype=float)
     ratios = (pot.at(n) / hardy.at(n)).tolist()
     verdict = _witness_verdict(results, probe_tol(1.0))

@@ -144,6 +144,33 @@ _FIXED_OUTPUTS = [
         "decision admissible\npartial_sum 0.092771678368504445\n"
         "tail_bound 0.00033600000000000009\nthreshold 3.708149354602746\n",
     ),
+    # the admissibility series over each potential kind, and lengths one past
+    # a block of terms and one past the default
+    (
+        ("hardy-check", "--alpha", "0.75", "--potential", "kpp"),
+        "decision admissible\npartial_sum 3.4330998644708983\n"
+        "tail_bound 0.019682424304283696\nthreshold 3.708149354602746\n",
+    ),
+    (
+        ("hardy-check", "--alpha", "0.25", "--potential", "classical_hardy"),
+        "decision admissible\npartial_sum 0.33131647966549105\n"
+        "tail_bound 2.4999999999999998e-06\nthreshold 0.84721308479397972\n",
+    ),
+    (
+        ("hardy-check", "--alpha", "0.75", "--potential", "explicit:0.5,0.25,0.125,0.0625:finite"),
+        "decision inconclusive\npartial_sum 4.0727185728402775\n"
+        "tail_bound 0\nthreshold 3.708149354602746\n",
+    ),
+    (
+        ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "8193"),
+        "decision admissible\npartial_sum 0.092112928797091334\n"
+        "tail_bound 0.0011738640433984434\nthreshold 3.708149354602746\n",
+    ),
+    (
+        ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "100001"),
+        "decision admissible\npartial_sum 0.092771679690644357\n"
+        "tail_bound 0.00033599832001259992\nthreshold 3.708149354602746\n",
+    ),
     (
         ("probe-critical", "--alpha", "1.5", "--c", "0.05", "--schedule", "50,100,200", "--format", "csv"),
         "alpha,potential,N,min_eig,extrapolated,error_bar,verdict\n"

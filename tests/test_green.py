@@ -1,6 +1,8 @@
 """Green kernels, uniform bounds, weight sequence, and admissibility."""
 
 import math
+import random
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -10,8 +12,12 @@ from hypothesis import strategies as st
 
 from fraclap import operators
 from fraclap.green import (
+    _BLOCK,
     _K,
+    _MAX_TERMS,
     Potential,
+    _block_fsum,
+    _series_parts,
     admissibility_threshold,
     g_weight,
     g_weight_bound,
@@ -19,6 +25,7 @@ from fraclap.green import (
     power_hardy_weight,
     reflected_bound_const,
     rough_bound_const,
+    site_blocks,
     theorem2_check,
     uniform_bound_refined,
     uniform_bound_rough,
@@ -359,6 +366,134 @@ class TestAdmissibility:
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):
             power_hardy_weight(1.0, 0.0)
+
+
+def _fsum_outcome(total):
+    """total() as a value, or the type of the exception it raises."""
+    try:
+        return total()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _same(a, b) -> bool:
+    """a and b are the same float, sign of zero and nan included, or the same exception."""
+    if isinstance(a, float) and isinstance(b, float):
+        return (a != a and b != b) or (a == b and math.copysign(1.0, a) == math.copysign(1.0, b))
+    return a == b
+
+
+def _counted(values: np.ndarray):
+    """The value function of the sites 1..values.size, counting its calls."""
+    calls = []
+
+    def at(n):
+        calls.append(n.size)
+        return values[n.astype(np.intp) - 1]
+
+    return at, calls
+
+
+_RNG = random.Random(15)
+#: a random alpha grid with 1/2 +- 1e-7 and 1, counts at and around a block
+#: and the default, and random counts
+_SERIES_ALPHAS = [0.5 - 1e-7, 0.5 + 1e-7, 1.0] + [_RNG.uniform(0.01, 1.49) for _ in range(5)]
+_SERIES_COUNTS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100_000, 100_001] + [_RNG.randint(2, 60_000) for _ in range(3)]
+_SERIES_POTENTIALS = [
+    Potential.power(0.01, 2.0),
+    Potential.power(_RNG.uniform(0.0, 3.0), _RNG.uniform(0.0, 5.0)),
+    Potential.classical_hardy(),
+    Potential.kpp(),
+    Potential.explicit([_RNG.random() for _ in range(_BLOCK + 40)]),
+]
+
+
+class TestSeriesSum:
+    """The admissibility series is math.fsum of g_n V_n, bit for bit."""
+
+    @pytest.mark.parametrize("alpha", _SERIES_ALPHAS)
+    @pytest.mark.parametrize("pot", _SERIES_POTENTIALS, ids=lambda pot: pot.kind)
+    def test_partial_sum_is_fsum_of_the_products(self, alpha, pot):
+        for terms in _SERIES_COUNTS:
+            n = np.arange(1.0, terms + 1.0)
+            products = g_weight(alpha, n) * pot.at(n)
+            assert _same(_series_parts(alpha, pot, terms)[0], math.fsum(products.tolist()))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0**-53],  # exact half-ulp ties, to even
+            [1.0 + 2.0**-52, 2.0**-53],
+            [1.0] + [2.0**-53] * (_BLOCK + 3),
+            [1.0] + [2.0**-60] * 30_000,  # one large term, then many below its ulp
+            [2.0**-60] * 20_000 + [1.0],
+            [3.0, 1e-17, 1e-17, 1e-17, 1e-300, 2.0**-1074],
+            [0.0] * (2 * _BLOCK + 5),  # zeros
+            [0.0] * _BLOCK + [0.1, 0.0, 0.2],
+            [-0.0] * 3,
+            [5e-324] * (_BLOCK + 9),  # subnormals
+            [2.2250738585072014e-308, 5e-324, -1e-310, 3e-320] * 3000,
+            [1.7976931348623157e308, 1e308],  # near overflow
+            [1.7976931348623157e308, -1e308, 1.0],
+            [2.0**979] * (_BLOCK + 1),
+            [1e308, 1e308, -1e308],
+            [1.0, math.inf, 2.0],  # inf
+            [math.inf] * 2 + [1.0] * _BLOCK + [-math.inf],
+            [1.0, math.nan],
+            [1e16, 1.0, -1e16],  # cancellation, in a general sum
+            [-1.0] * _BLOCK + [1.0] * _BLOCK + [2.0**-80],
+        ],
+        ids=lambda values: f"{len(values)}-terms-from-{values[0]!r}",
+    )
+    def test_sum_helper_on_adversarial_values(self, values):
+        values = np.array(values)
+        at, _ = _counted(values)
+        expected = _fsum_outcome(lambda: math.fsum(values.tolist()))
+        assert _same(_fsum_outcome(lambda: _block_fsum(at, values.size)), expected)
+
+    def test_sum_helper_on_random_values(self):
+        rng = np.random.default_rng(15)
+        for size in (1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17):
+            for values in (
+                rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size),
+                rng.random(size) ** 40,
+                np.ldexp(rng.random(size), rng.integers(-1074, 900, size)),
+            ):
+                at, _ = _counted(values)
+                assert _same(_block_fsum(at, size), math.fsum(values.tolist()))
+
+    def test_failed_certificate_falls_back_to_fsum(self):
+        # 1 + 2^-53 is a tie, and 2^-120 below both extractions decides it
+        values = np.array([1.0, 2.0**-53, 2.0**-120])
+        at, calls = _counted(values)
+        assert _block_fsum(at, values.size) == math.fsum(values.tolist()) == 1.0 + 2.0**-52
+        assert calls == [3, 3]  # the block, then fsum over all values
+        at, calls = _counted(np.array([1.0, 2.0**-53, 2.0**-60]))
+        assert _block_fsum(at, 3) == 1.0 + 2.0**-52
+        assert calls == [3]
+
+    def test_blocks_cover_the_sites(self):
+        for count in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 5 * _BLOCK + 3):
+            blocks = list(site_blocks(count))
+            assert max(b.size for b in blocks) <= _BLOCK
+            assert np.array_equal(np.concatenate(blocks), np.arange(1.0, count + 1.0))
+
+    def test_refuses_too_long_a_series(self):
+        with pytest.raises(ValueError, match="at most"):
+            _series_parts(0.75, Potential.kpp(), _MAX_TERMS + 1)
+
+    def test_peak_memory_does_not_grow_with_terms(self):
+        pot = Potential.power(0.01, 2.0)
+        theorem2_check(0.75, pot, 10**5)
+        peaks = []
+        for terms in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                theorem2_check(0.75, pot, terms)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
 
 class TestHilbertSchmidtBound:
