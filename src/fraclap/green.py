@@ -359,7 +359,9 @@ class Potential:
         if self.kind == "kpp":
             return _kpp_values(n)
         if self.kind == "power":
-            return self.coeff / n**self.exponent
+            # n**exponent out of range: V_n is 0, its value, or inf, which the series refuses
+            with np.errstate(over="ignore", divide="ignore"):
+                return self.coeff / n**self.exponent if self.coeff else np.zeros(n.shape)
         if self.kind == "delta":
             return np.where(n == self.site, self.coeff, 0.0)
         inside = n <= self._data.size
@@ -511,7 +513,8 @@ def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, floa
         raise ValueError(f"the series takes at most {_MAX_TERMS} terms, got {terms}")
     # g_n V_n is formed and summed one block at a time, so its memory does not
     # grow with terms; the sum is math.fsum's correctly rounded one
-    partial = _block_fsum(lambda n: g_weight(alpha, n) * pot.at(n), terms)
+    with np.errstate(over="ignore"):  # an inf term is refused by theorem2_check
+        partial = _block_fsum(lambda n: g_weight(alpha, n) * pot.at(n), terms)
     if pot.kind == "power":
         tail = _power_tail_bound(alpha, pot.coeff, pot.exponent, terms)
     elif pot.kind == "classical_hardy":
@@ -542,6 +545,8 @@ def theorem2_check(alpha: float, pot: Potential, tail_terms: int = 100_000) -> A
     """
     _check_subcritical_range(alpha)
     partial, tail = _series_parts(alpha, pot, tail_terms)
+    if not math.isfinite(partial):
+        raise ValueError("a term g_n V_n of the admissibility series overflows float64")
     thr = admissibility_threshold(alpha)
     ok = partial + tail <= thr * (1.0 + _THRESHOLD_SLACK)
     return AdmissibilityResult(

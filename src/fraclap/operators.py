@@ -46,9 +46,10 @@ def check_positive_power(alpha: float) -> None:
 
 def _check_indices(m, n) -> None:
     """Reject indices unless 1 <= m, n and m + n < 2^52, below which float64 holds m + n."""
-    if np.any(m < 1) or np.any(n < 1):
+    # count_nonzero takes Python and numpy scalars alike, without np.any's dispatch
+    if np.count_nonzero(m < 1) or np.count_nonzero(n < 1):
         raise ValueError("indices are 1-based: m, n >= 1")
-    if np.any(m >= 2**52 - n):
+    if np.count_nonzero(m >= 2**52 - n):
         raise ValueError("indices need m + n < 2**52, the range float64 holds exactly")
 
 

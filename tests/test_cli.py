@@ -616,6 +616,9 @@ class TestExitCodes:
             ("bilap-lambda", "--n", "1", "--c", "1e100"),
             ("bilap-lambda", "--n", "1", "--c", "1e100", "--method", "small_c"),
             ("probe-critical", "--alpha", "1.5", "--c", "1.7e308", "--schedule", "10"),
+            # potentials whose V_n, or whose term g_n V_n, overflows float64
+            ("hardy-check", "--alpha", "0.75", "--potential", "power:1e300:-400"),
+            ("hardy-check", "--alpha", "0.75", "--potential", "explicit:1e308,1e308"),
             # argparse drops a "--" attached to its flag
             ("hardy-check", "--alpha", "0.75", "--potential=--"),
             ("entry", "--alpha=--", "--m", "1", "--n", "1"),
@@ -630,6 +633,14 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_potential_underflowing_to_zero(self, capsys):
+        # n^400 overflows for n >= 6, where V_n = 1/n^400 underflows to 0, its value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "hardy-check", "--alpha", "0.75", "--potential", "power:1:400")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == ["decision admissible", "partial_sum 3.2000000000000011"]
 
     @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-dir", "directory"])
     def test_unwritable_out(self, capsys, tmp_path, target):

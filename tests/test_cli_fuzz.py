@@ -39,11 +39,13 @@ GRID = (
     | st.builds("{}:{}:{}".format, st.integers(-3, 40), st.integers(-3, 40), st.integers(-1, 4))
     | st.builds("logspace:{}:{}:{}".format, REAL, REAL, st.integers(-1, 4))
 )
+#: potential values and exponents whose V_n or g_n V_n leaves float64
+EXTREME = st.sampled_from(["400", "-400", "1e300", "1e308", "1.7976931348623157e308"])
 POTENTIAL = st.one_of(
     st.sampled_from(["zero", "classical_hardy", "kpp", "delta:1", "power:1", "wavelet"]),
-    st.builds("delta:{}:{}".format, SIZE, NUMBER),
-    st.builds("power:{}:{}".format, NUMBER, NUMBER),
-    st.builds("explicit:{}{}".format, _joined(NUMBER), st.sampled_from(["", ":finite", ":x"])),
+    st.builds("delta:{}:{}".format, SIZE, NUMBER | EXTREME),
+    st.builds("power:{}:{}".format, NUMBER | EXTREME, NUMBER | EXTREME),
+    st.builds("explicit:{}{}".format, _joined(NUMBER | EXTREME), st.sampled_from(["", ":finite", ":x"])),
     GARBAGE,
 )
 SCHEDULE = _joined(st.integers(-1, 40).map(str)) | GARBAGE

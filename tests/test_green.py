@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -481,6 +482,16 @@ class TestSeriesSum:
     def test_refuses_too_long_a_series(self):
         with pytest.raises(ValueError, match="at most"):
             _series_parts(0.75, Potential.kpp(), _MAX_TERMS + 1)
+
+    def test_refuses_terms_beyond_float64(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pot in (Potential.power(1e300, -400.0), Potential.explicit([1e308] * 2), Potential.delta(1, 1e308)):
+                with pytest.raises(ValueError, match="overflows float64"):
+                    theorem2_check(0.75, pot)
+            # V_n underflowing to 0 is its value; a zero coefficient gives zeros
+            assert Potential.power(1.0, 400.0).at(np.array([5.0, 6.0])).tolist() == [1.0 / 5.0**400, 0.0]
+            assert Potential.power(0.0, -400.0).at(np.arange(1.0, 9.0)).tolist() == [0.0] * 8
 
     def test_peak_memory_does_not_grow_with_terms(self):
         pot = Potential.power(0.01, 2.0)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from fraclap.operators import (
     UnsupportedExponentError,
+    _check_indices,
     assemble,
     assemble_band,
     assemble_reflected,
@@ -18,6 +19,7 @@ from fraclap.operators import (
     save_matrix_csv,
     section_coefficients,
     section_product,
+    sine_indices,
 )
 
 
@@ -171,6 +173,39 @@ class TestFractionalEntries:
                 entry(alpha, 2**51, 2**51)
         with pytest.raises(ValueError, match="2\\*\\*52"):
             entry_oracle(0.75, 10**20, 1)
+
+    ONE_BASED = "indices are 1-based: m, n >= 1"
+    EXACT = "indices need m + n < 2**52, the range float64 holds exactly"
+
+    @pytest.mark.parametrize(
+        "m, n, message",
+        [
+            (1, 1, None),
+            (np.int64(3), 7, None),
+            (2**52 - 2, 1, None),
+            (np.array([[1], [2]]), np.array([1, 2**51]), None),
+            (np.array([10**30], dtype=object), 1, EXACT),
+            (0, 1, ONE_BASED),
+            (1, -2, ONE_BASED),
+            (np.array([1, 0]), 2, ONE_BASED),
+            (0, 10**400, ONE_BASED),  # the first check wins
+            (2**52 - 1, 1, EXACT),
+            (10**400, 1, EXACT),  # a Python int beyond int64, as entry gets it
+            (1, np.array([1, 2**52]), EXACT),
+        ],
+    )
+    def test_index_checks_accept_and_reject(self, m, n, message):
+        # entry checks its scalar indices as given, the oracles after broadcasting
+        checks = [lambda: _check_indices(m, n), lambda: sine_indices(m, n)]
+        if np.ndim(m) == np.ndim(n) == 0:
+            checks.append(lambda: entry(-1.0, m, n))
+        for check in checks:
+            if message is None:
+                check()
+            else:
+                with pytest.raises(ValueError) as caught:
+                    check()
+                assert str(caught.value) == message
 
 
 class TestReflected:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import green, operators, probes, selfcheck
+from fraclap import green, operators, probes, quadrature, selfcheck
 from fraclap.quadrature import QuadratureError, integrate_theta
 
 
@@ -94,6 +94,24 @@ def _levels(g, tol=1e-12):
     return (len(calls) - 1) // 2
 
 
+def _per_row_loop(g, tol=1e-12):
+    """Reference: each row of g's family integrated alone, one np.dot per side and level."""
+    mid = np.ravel(g(np.array([0.5 * math.pi])))
+    results = []
+    for i in range(mid.size):
+        total = np.float64(0.5 * math.pi) * mid[i]
+        for level in range(15):
+            c, left, right = quadrature._level_nodes(level)
+            total = total + np.dot(c, np.reshape(g(left), (-1, c.size))[i])
+            total = total + np.dot(c, np.reshape(g(right), (-1, c.size))[i])
+            estimate = 0.5 * math.pi / 2**level * total
+            if level >= 4 and abs(estimate - prev) < 0.5 * tol:
+                break
+            prev = estimate
+        results.append(estimate)
+    return results
+
+
 class TestIntegrandFamilies:
     ROWS = (
         np.sin,
@@ -110,6 +128,17 @@ class TestIntegrandFamilies:
         # the rows stop at different levels, each where its scalar call stops
         assert len({_levels(f) for f in self.ROWS}) > 1
 
+    def test_rows_equal_the_per_row_loop(self):
+        rows = [np.sin, lambda t: np.sin(40 * t) ** 2, lambda t: np.exp(2j * t) / (2.5 - np.cos(t))]
+        family = lambda t: np.stack([f(t) for f in rows])
+        assert integrate_theta(family).tolist() == _per_row_loop(family)
+
+    def test_rows_turning_complex_after_the_midpoint(self):
+        # emath.power is real at the midpoint, where cos > 0, and complex beyond it
+        family = lambda t: np.stack([np.emath.power(np.cos(t), 4), np.sin(t)])
+        vals = integrate_theta(family)
+        assert vals.dtype == complex and vals.tolist() == _per_row_loop(family)
+
     def test_complex_rows_equal_scalar_calls(self):
         rows = [lambda t, k=k: np.exp(1j * k * t) / (2.5 - np.cos(t)) for k in range(1, 6)]
         vals = integrate_theta(lambda t: np.stack([f(t) for f in rows]), tol=1e-11)
@@ -120,6 +149,38 @@ class TestIntegrandFamilies:
     def test_one_row_family_is_the_scalar_call(self):
         vals = integrate_theta(lambda t: np.sin(t)[None, :])
         assert vals.shape == (1,) and vals[0] == integrate_theta(np.sin)
+
+    def test_rows_stopping_at_five_levels_equal_scalar_calls(self):
+        rows = [np.sin] + [lambda t, k=k: np.sin(k * t) ** 2 for k in (17, 40, 80)]
+        rows.append(lambda t: np.exp(np.cos(t)) * np.sin(3 * t))
+        assert sorted(_levels(f) for f in rows) == [5, 6, 7, 8, 9]
+        vals = integrate_theta(lambda t: np.stack([f(t) for f in rows]))
+        assert vals.tolist() == [integrate_theta(f) for f in rows]
+
+    def test_row_going_non_finite_after_it_stopped_does_not_raise(self):
+        # sin stops at level 5, after 11 evaluations; then only its row turns nan
+        slow = lambda t: np.sin(80 * t) ** 2
+        calls = []
+
+        def family(theta):
+            calls.append(theta.size)
+            first = np.sin(theta) if len(calls) <= 11 else np.full(theta.shape, np.nan)
+            return np.stack([first, slow(theta)])
+
+        vals = integrate_theta(family)
+        assert vals.tolist() == [integrate_theta(np.sin), integrate_theta(slow)]
+        assert len(calls) == 2 * _levels(slow) + 1
+
+    def test_integrand_cannot_write_into_shared_nodes(self):
+        before = integrate_theta(np.sin)
+
+        def writes(theta):
+            theta *= 2.0
+            return np.sin(theta)
+
+        with pytest.raises(ValueError, match="read-only"):
+            integrate_theta(writes)
+        assert integrate_theta(np.sin) == before
 
     def test_one_unconverged_row_raises(self):
         rng = np.random.default_rng(3)
