@@ -99,9 +99,12 @@ def _log_ratio(alpha: float, n, slope: bool = False):
     head = list(itertools.accumulate(terms))[::2]  # L'(1), ..., L'(_K)
     v, v0 = np.square(0.5 / n), 0.25 / _K**2  # z^-2 at z = 2n and z = 2 _K
     tail = head[-1] + v0 * _horner(coeffs, v0) + lead * np.log(n / _K) - v * _horner(coeffs, v)
-    if n.ndim:
-        return np.where(n <= _K, np.take(head, np.minimum(n, _K).astype(np.intp) - 1), tail)
-    return head[int(n) - 1] if n <= _K else tail
+    if not n.ndim:
+        return head[int(n) - 1] if n <= _K else tail
+    small = n <= _K
+    if np.count_nonzero(small):  # of a series' blocks, only the first holds such n
+        return np.where(small, np.take(head, np.minimum(n, _K).astype(np.intp) - 1), tail)
+    return tail
 
 
 def g_weight(alpha: float, n):

@@ -85,7 +85,8 @@ def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
     integer powers, log-Gamma space for the others, where for k > alpha the
     reflection formula turns the Gamma at the negative argument alpha-k+1
     into (-1)^(k+1) sin(pi*alpha) Gamma(k-alpha) / pi, so no overflow
-    occurs for any section size.
+    occurs for any section size.  A ValueError refuses an alpha whose
+    c[0] overflows float64.
     """
     k = np.asarray(k, dtype=float)
     if alpha == -1.0:
@@ -105,14 +106,19 @@ def _signed_coeff(alpha: float, k: np.ndarray) -> np.ndarray:
     lg_top = math.lgamma(2.0 * alpha + 1.0)
     direct = alpha - k + 1.0 > 0.0
     kd, kr = k[direct], k[~direct]
-    out[direct] = sign[direct] * np.exp(
-        lg_top - sp.gammaln(alpha + kd + 1.0) - sp.gammaln(alpha - kd + 1.0)
-    )
     # sin(pi*alpha), argument-reduced so that it stays accurate for large alpha
     sin_pi = (-1) ** round(alpha) * math.sin(math.pi * (alpha - round(alpha)))
-    out[~direct] = -(sin_pi / math.pi) * np.exp(
-        lg_top + sp.gammaln(kr - alpha) - sp.gammaln(alpha + kr + 1.0)
-    )
+    try:
+        with np.errstate(over="raise"):
+            out[direct] = sign[direct] * np.exp(
+                lg_top - sp.gammaln(alpha + kd + 1.0) - sp.gammaln(alpha - kd + 1.0)
+            )
+            out[~direct] = -(sin_pi / math.pi) * np.exp(
+                lg_top + sp.gammaln(kr - alpha) - sp.gammaln(alpha + kr + 1.0)
+            )
+    except FloatingPointError:
+        # C(2 alpha, alpha) ~ 4^alpha / sqrt(pi alpha) leaves float64 near alpha = 514.6
+        raise ValueError(f"alpha={alpha!r}: the entries of A(alpha) overflow float64") from None
     return out
 
 

@@ -15,7 +15,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable
 
 import numpy as np
 from scipy import fft as sfft
@@ -65,10 +64,9 @@ _LOWRANK_COPIES = 5
 _BAND_COPIES = 9
 
 #: N x N float64 arrays alive at once during a dense probe.  The eigh path
-#: holds the section, shifted in place, and LAPACK's working copy of it (or
-#: the |section| of its norm bound).  The shift-invert path holds the
-#: section alone, factored in place, and holds two only when it falls back
-#: to eigh.  Both assemblers allocate one array and modify it in place.
+#: holds the section and LAPACK's working copy of it.  The shift-invert
+#: path holds the section alone, factored in place, and holds two only
+#: when it falls back to eigh.  Both assemblers allocate one array each.
 _DENSE_COPIES = 2
 
 #: cap on the Lanczos steps of a shift-invert probe; Hardy-weight sections
@@ -142,25 +140,11 @@ class ConvergenceSeries:
         return cls(pts, limit, abs(limit - e3) + 1e-2 * abs(d2), monotone)
 
 
-def _result(alpha, size, descriptor, lam, residual, norm_scale, solver, rank=0) -> ProbeResult:
-    return ProbeResult(
-        alpha=alpha,
-        size=size,
-        potential=descriptor,
-        min_eigenvalue=lam,
-        converged=residual <= 1e-8 * norm_scale,
-        residual=residual,
-        solver=solver,
-        rank=rank,
-    )
-
-
-def _probe_dense(alpha: float, mat: np.ndarray, descriptor: str) -> ProbeResult:
+def _probe_dense(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lam, v, mat @ v) for the smallest eigenpair of the symmetric mat, by eigh."""
     w, v = eigh(mat, subset_by_index=(0, 0))
-    lam, v = float(w[0]), v[:, 0]
-    residual = float(np.linalg.norm(mat @ v - lam * v))
-    norm_scale = float(np.abs(mat).sum(axis=1).max())  # row-sum bound on the norm
-    return _result(alpha, mat.shape[0], descriptor, lam, residual, norm_scale, "dense")
+    v = v[:, 0]
+    return float(w[0]), v, mat @ v
 
 
 def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -193,8 +177,8 @@ def _inverse_iteration(ab: np.ndarray, shift: float) -> np.ndarray:
     return v
 
 
-def _probe_band(alpha: float, ab: np.ndarray, descriptor: str) -> ProbeResult:
-    """Smallest eigenpair of a symmetric band matrix, never densified.
+def _probe_band(ab: np.ndarray, bound: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """(lam, v, B v) for the smallest eigenpair of a symmetric band matrix B with |B| <= bound.
 
     The eigenvalue comes from LAPACK's banded bisection without vectors
     (with vectors it forms the full N x N band-reduction transform); the
@@ -202,12 +186,10 @@ def _probe_band(alpha: float, ab: np.ndarray, descriptor: str) -> ProbeResult:
     """
     w = eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(0, 0))
     lam = float(w[0])
-    norm_scale = float(_band_matvec(np.abs(ab), np.ones(ab.shape[1])).max())  # row sums of |B|
     # one rounding unit of the norm below lam: the solves stay nonsingular
     # where lam is exact (N = 1, or a spectrum known in closed form)
-    v = _inverse_iteration(ab, lam - np.finfo(float).eps * (1.0 + norm_scale))
-    residual = float(np.linalg.norm(_band_matvec(ab, v) - lam * v))
-    return _result(alpha, ab.shape[1], descriptor, lam, residual, norm_scale, "band")
+    v = _inverse_iteration(ab, lam - np.finfo(float).eps * (1.0 + bound))
+    return lam, v, _band_matvec(ab, v)
 
 
 def _dst(x: np.ndarray) -> np.ndarray:
@@ -254,7 +236,7 @@ def _lowrank_correction(apply, size: int, tol: float) -> tuple[np.ndarray, np.nd
             image = apply(q)
             compressed = q.T @ image
             lam, vecs = linalg.eigh(0.5 * (compressed + compressed.T))
-            keep = np.abs(lam) > tol
+            keep = abs(lam) > tol
             u, lam = q @ vecs[:, keep], lam[keep]
             misfit = images - u @ (lam[:, None] * (u.T @ tests))
             estimate = _HALKO_FACTOR * float(
@@ -267,7 +249,7 @@ def _lowrank_correction(apply, size: int, tol: float) -> tuple[np.ndarray, np.nd
         samples *= 2
 
 
-def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
+def _model_min_eigenpair(d, w, signs, bound) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of the diagonal-plus-low-rank H = D + W diag(signs) W^T.
 
     hi = min_k H_kk bounds lambda_min from above and Weyl's inequality
@@ -281,7 +263,7 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
     where the m-th smallest, m = #(signs < 0), crosses zero; a Newton step
     on that eigenvalue, safeguarded by bisection, finds it.  The search
     stops at the first Newton step shorter than the rounding margin
-    4 eps (|s| + norm_scale) that lo and hi carry, and bisects only where a
+    4 eps (|s| + bound) that lo and hi carry, and bisects only where a
     step leaves (lo, hi): once Newton has converged its step is zero or
     lands on hi, which is no reason to bisect.  The eigenvector comes from
     Woodbury inverse iteration in the same model.
@@ -289,12 +271,12 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
     eps = np.finfo(float).eps
     weights = w**2
     lo = float(d.min() - weights[:, signs < 0.0].sum())
-    lo -= 4.0 * eps * (abs(lo) + norm_scale)
+    lo -= 4.0 * eps * (abs(lo) + bound)
     hi = float((d + weights @ signs).min())  # a Rayleigh quotient
-    hi += 4.0 * eps * (abs(hi) + norm_scale)
+    hi += 4.0 * eps * (abs(hi) + bound)
     order = np.argsort(d)
     lifted = order[: np.searchsorted(d[order], hi, side="right") + 1]
-    top = d[order[lifted.size]] if lifted.size < d.size else abs(hi) + norm_scale
+    top = d[order[lifted.size]] if lifted.size < d.size else abs(hi) + bound
     offsets = np.zeros((d.size, lifted.size))
     offsets[lifted, np.arange(lifted.size)] = np.sqrt(top - d[lifted])
     d = d.copy()
@@ -320,7 +302,7 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
         slope = float((((w @ vecs[:, index]) * g) ** 2).sum())
         step = s - nu[index] / slope if slope > 0.0 else math.nan  # nan fails both tests
         # a Newton step within the rounding margin that lo and hi carry: converged
-        if abs(step - s) <= 4.0 * eps * (abs(s) + norm_scale):
+        if abs(step - s) <= 4.0 * eps * (abs(s) + bound):
             s = step
             break
         if not lo < step < hi:
@@ -334,7 +316,7 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
     # inverse iteration one rounding unit of the norm below the eigenvalue;
     # each solve is (D - shift)^-1 b corrected through the Woodbury identity,
     # whose small matrix is near singular by design (so no rcond check)
-    m, g = secular(s - eps * (1.0 + norm_scale))
+    m, g = secular(s - eps * (1.0 + bound))
     lu = linalg.lu_factor(m)
     x = np.random.default_rng(0).standard_normal(d.size)
     for _ in range(_INVERSE_STEPS):
@@ -344,27 +326,21 @@ def _model_min_eigenpair(d, w, signs, norm_scale) -> tuple[float, np.ndarray]:
     return float(s), x
 
 
-def _section_operator(
-    alpha: float, coeffs: np.ndarray, values: np.ndarray, reflected: bool
-) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """v -> (B - V) v through the FFT section product, and the bound 4^alpha + max V on |B - V|.
+def _section_matvec(
+    alpha: float, coeffs: np.ndarray, values: np.ndarray, reflected: bool, v: np.ndarray
+) -> np.ndarray:
+    """(B - V) v through the FFT section product, with no N x N array.
 
     B is the section of A(alpha) with coefficients coeffs, or the reflected
-    4^alpha - A(alpha).  No N x N array is formed.
+    4^alpha - A(alpha).
     """
-    scale = 4.0**alpha
-    product = operators.section_product(coeffs)
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        bv = scale * v - product(v) if reflected else product(v)
-        return bv - values * v
-
-    return apply, scale + float(values.max(initial=0.0))
+    bv = operators.section_product(coeffs)(v)
+    return (4.0**alpha * v - bv if reflected else bv) - values * v
 
 
 def _probe_tau_lowrank(
-    alpha: float, size: int, values: np.ndarray, descriptor: str, reflected: bool
-) -> ProbeResult:
+    alpha: float, size: int, values: np.ndarray, reflected: bool, bound: float
+) -> tuple[float, np.ndarray, np.ndarray, int]:
     """Smallest eigenpair of a non-integer section minus a finitely supported V.
 
     The section A_N is tau_N(f) + E_N: tau_N(f) = S diag(f(theta_k)) S with
@@ -375,9 +351,9 @@ def _probe_tau_lowrank(
     N x N array is formed.  In the DST basis the section minus V becomes
     D + W diag(signs) W^T, with W = S [U |lam|^1/2, sqrt(V_s) e_s].  The
     eigenvalue is a secular root of that model, the eigenvector comes from
-    Woodbury inverse iteration in it, and the residual is taken against the
-    true section, so truncation error shows in ``converged``.  The reflected
-    section is tau_N(4^alpha - f) - E_N.
+    Woodbury inverse iteration in it, and (B - V) v is taken through the
+    true section, so truncation error shows in the residual.  The reflected
+    section is tau_N(4^alpha - f) - E_N.  Returns lam, v, (B - V) v and U's rank.
     """
     scale = 4.0**alpha
     coeffs = operators.section_coefficients(alpha, size)
@@ -388,17 +364,15 @@ def _probe_tau_lowrank(
     sites = np.flatnonzero(values)
     spikes = np.zeros((size, sites.size))
     spikes[sites, np.arange(sites.size)] = np.sqrt(values[sites])
-    w = _dst(np.hstack([u * np.sqrt(np.abs(lam)), spikes]))
+    w = _dst(np.hstack([u * np.sqrt(abs(lam)), spikes]))
     signs = np.concatenate([np.sign(lam), -np.ones(sites.size)])
     d = f
     if reflected:
         d, signs[: lam.size] = scale - f, -signs[: lam.size]
 
-    apply, norm_scale = _section_operator(alpha, coeffs, values, reflected)
-    lam_min, x = _model_min_eigenpair(d, w, signs, norm_scale)
+    lam_min, x = _model_min_eigenpair(d, w, signs, bound)
     v = _dst(x)
-    residual = float(np.linalg.norm(apply(v) - lam_min * v))
-    return _result(alpha, size, descriptor, lam_min, residual, norm_scale, "tau_lowrank", lam.size)
+    return lam_min, v, _section_matvec(alpha, coeffs, values, reflected, v), lam.size
 
 
 def _dense_section(alpha: float, size: int, values: np.ndarray, reflected: bool) -> np.ndarray:
@@ -449,27 +423,22 @@ def _shift_invert_vector(mat: np.ndarray, shift: float) -> np.ndarray | None:
 
 
 def _probe_shift_invert(
-    alpha: float, size: int, values: np.ndarray, descriptor: str, reflected: bool
-) -> ProbeResult:
-    """Smallest eigenpair of a section of B - V by Cholesky shift-invert Lanczos.
+    alpha: float, size: int, values: np.ndarray, reflected: bool
+) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(lam, v, (B - V) v) for a section of B - V by Cholesky shift-invert Lanczos, or None.
 
     The shift is probe_tol(alpha), so the factorization succeeds exactly
     when the section passes the non-negativity test, up to its backward
     error.  The eigenvalue is the Rayleigh quotient of the Lanczos vector
-    and the residual is taken against the true section, both through the
-    FFT product, so one N x N array is alive at a time.  Where the
-    factorization fails or Lanczos does not converge, the section is
-    assembled again and solved by eigh.
+    against the true section through the FFT product, so one N x N array
+    is alive at a time.  None where the factorization fails or Lanczos
+    does not converge.
     """
     v = _shift_invert_vector(_dense_section(alpha, size, values, reflected), probe_tol(alpha))
     if v is None:
-        return _probe_dense(alpha, _dense_section(alpha, size, values, reflected), descriptor)
-    coeffs = operators.section_coefficients(alpha, size)
-    apply, norm_scale = _section_operator(alpha, coeffs, values, reflected)
-    bv = apply(v)
-    lam = float(v @ bv)
-    residual = float(np.linalg.norm(bv - lam * v))
-    return _result(alpha, size, descriptor, lam, residual, norm_scale, "shift_invert")
+        return None
+    bv = _section_matvec(alpha, operators.section_coefficients(alpha, size), values, reflected, v)
+    return float(v @ bv), v, bv
 
 
 def _section_probe(
@@ -486,10 +455,14 @@ def _section_probe(
       :func:`_probe_tau_lowrank` with a potential on at most
       _LOWRANK_MAX_SUPPORT sites, and to :func:`_probe_shift_invert` with
       more (power Hardy weights, power potentials);
-    * smaller sections are solved dense by eigh.
+    * smaller sections, and those where shift-invert gives up, are solved
+      dense by eigh.
 
     Each path's working set is checked against physical memory before it
-    is formed, the potential's values included.
+    is formed, the potential's values included.  Each path returns lam, v
+    and (B - V) v, and the residual |(B - V) v - lam v| converges within
+    1e-8 of 4^alpha + max V, a bound on |B - V| on every path since
+    0 <= A_N <= 4^alpha, plain or reflected, and V >= 0.
     """
     banded = operators.is_banded(alpha)
     structured = not banded and size >= TAU_LOWRANK_MIN_SIZE
@@ -503,19 +476,30 @@ def _section_probe(
             f"a low-rank probe of a {size}-site section",
         )
     values = pot.values(size)
+    with np.errstate(over="ignore"):
+        bound = float(np.power(4.0, alpha) + values.max(initial=0.0))
+    if not math.isfinite(bound):  # an inf V_n, or 4^alpha beyond float64
+        raise ValueError(f"4^alpha + max V_n overflows float64 (alpha={alpha!r}, {pot.describe()})")
+    rank = 0
     if banded:
         ab = operators.assemble_band(alpha, size)
         if reflected:
             ab = -ab
             ab[0] += 4.0**alpha
         ab[0] -= values
-        return _probe_band(alpha, ab, descriptor)
-    if structured and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
-        return _probe_tau_lowrank(alpha, size, values, descriptor, reflected)
-    operators.check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
-    if structured:
-        return _probe_shift_invert(alpha, size, values, descriptor, reflected)
-    return _probe_dense(alpha, _dense_section(alpha, size, values, reflected), descriptor)
+        solver, (lam, v, bv) = "band", _probe_band(ab, bound)
+    elif structured and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
+        solver = "tau_lowrank"
+        lam, v, bv, rank = _probe_tau_lowrank(alpha, size, values, reflected, bound)
+    else:
+        operators.check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
+        solved = _probe_shift_invert(alpha, size, values, reflected) if structured else None
+        solver = "dense" if solved is None else "shift_invert"
+        lam, v, bv = solved or _probe_dense(_dense_section(alpha, size, values, reflected))
+    with np.errstate(over="ignore"):  # a residual beyond float64 is inf: not converged
+        residual = float(np.linalg.norm(bv - lam * v))
+    converged = residual <= 1e-8 * bound
+    return ProbeResult(alpha, size, descriptor, lam, converged, residual, solver, rank)
 
 
 def min_eig(alpha: float, size: int, pot: green.Potential) -> ProbeResult:
@@ -524,12 +508,6 @@ def min_eig(alpha: float, size: int, pot: green.Potential) -> ProbeResult:
     if size < 1:
         raise ValueError("size >= 1 required")
     return _section_probe(alpha, size, pot, pot.describe())
-
-
-def _series(alpha: float, pot: green.Potential, schedule) -> tuple[list[ProbeResult], ConvergenceSeries]:
-    results = [min_eig(alpha, n, pot) for n in schedule]
-    series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
-    return results, series
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +597,8 @@ def criticality_scan(
     resolution = _EIG_RESOLUTION * (1.0 + 4.0**alpha)
     for c in couplings:
         pot = green.Potential.delta(site, c)
-        results, series = _series(alpha, pot, schedule)
+        results = [min_eig(alpha, n, pot) for n in schedule]
+        series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
         bs_lam = solve_bs_lambda(alpha, site, c)
         clearly_negative = series.extrapolated < -max(series.error_bar, tol)
         if clearly_negative:
@@ -643,21 +622,29 @@ def criticality_scan(
     return records
 
 
-def _witness_verdict(results, tol) -> str:
-    return "nonnegative" if all(r.min_eigenvalue >= -tol for r in results) else "negative"
+def _witness(
+    alpha: float, pot, descriptor: str, schedule, reflected=False, holds=True, **extra
+) -> ScanRecord:
+    """Sections of B - V along the schedule, with min_eig's checks of alpha and sizes.
+
+    The verdict is "nonnegative" when holds and every section's smallest
+    eigenvalue is at least -probe_tol(alpha), else "negative"; extra goes
+    into the record as it is.
+    """
+    operators.check_positive_power(alpha)
+    if any(n < 1 for n in schedule):
+        raise ValueError("size >= 1 required")
+    results = tuple(_section_probe(alpha, n, pot, descriptor, reflected) for n in schedule)
+    series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
+    tol = probe_tol(alpha)
+    verdict = "nonnegative" if holds and all(r.min_eigenvalue >= -tol for r in results) else "negative"
+    return ScanRecord(alpha, descriptor, results, series, verdict, extra=extra)
 
 
 def hardy_witness(alpha: float, epsilon: float, schedule=DEFAULT_SCHEDULE) -> ScanRecord:
     """Sections of A(alpha) minus the explicit power Hardy weight."""
     pot = green.power_hardy_weight(alpha, epsilon)
-    results, series = _series(alpha, pot, schedule)
-    return ScanRecord(
-        alpha=alpha,
-        potential=pot.describe(),
-        schedule=tuple(results),
-        series=series,
-        verdict=_witness_verdict(results, probe_tol(alpha)),
-    )
+    return _witness(alpha, pot, pot.describe(), schedule)
 
 
 def reflected_witness(
@@ -672,42 +659,24 @@ def reflected_witness(
     pot = green.Potential.delta(site, c)  # validates site and coupling
     threshold = 1.0 / (green.reflected_bound_const(alpha) * site**2)
     descriptor = f"reflected_delta(site={site}, coeff={c:.17g})"
-    results = [_section_probe(alpha, n, pot, descriptor, reflected=True) for n in schedule]
-    series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
-    return ScanRecord(
-        alpha=alpha,
-        potential=descriptor,
-        schedule=tuple(results),
-        series=series,
-        verdict=_witness_verdict(results, probe_tol(alpha)),
-        extra={"coupling_threshold": threshold},
-    )
+    return _witness(alpha, pot, descriptor, schedule, reflected=True, coupling_threshold=threshold)
 
 
 def kpp_witness(schedule=DEFAULT_SCHEDULE) -> ScanRecord:
     """Sections of the Laplacian minus the improved square-root weight.
 
     Also checks the entrywise domination over the classical weight up to
-    n = 10^6 and the asymptotic ratio on n in {10^3, 10^4, 10^5}.
+    n = 10^6 and the asymptotic ratio on n in {10^3, 10^4, 10^5}; the
+    verdict is "negative" without the domination.
     """
     pot = green.Potential.kpp()
     hardy = green.Potential.classical_hardy()
-    results, series = _series(1.0, pot, schedule)
     blocks = green.site_blocks(1_000_000)
     dominates = all(bool(np.all(pot.at(n) > hardy.at(n))) for n in blocks)
     n = np.array([10**3, 10**4, 10**5], dtype=float)
     ratios = (pot.at(n) / hardy.at(n)).tolist()
-    verdict = _witness_verdict(results, probe_tol(1.0))
-    if not dominates:
-        verdict = "negative"
-    return ScanRecord(
-        alpha=1.0,
-        potential=pot.describe(),
-        schedule=tuple(results),
-        series=series,
-        verdict=verdict,
-        extra={"dominates_classical": dominates, "ratio_to_classical": ratios},
-    )
+    extra = {"dominates_classical": dominates, "ratio_to_classical": ratios}
+    return _witness(1.0, pot, pot.describe(), schedule, holds=dominates, **extra)
 
 
 # ---------------------------------------------------------------------------

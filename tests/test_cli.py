@@ -592,10 +592,11 @@ class TestExitCodes:
             ("probe-min-eig", "--alpha", "1.5", "--N", "1000000000000", "--potential", "delta:1:0.1"),
             ("probe-min-eig", "--alpha", "2", "--N", "1000000000000"),
             ("probe-critical", "--alpha", "2", "--c", "1", "--schedule", "100000000000"),
-            ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "100000000000"),
             ("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5", "--count", "100000000000"),
             ("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5", "--count", "-3"),
             ("matrix", "--alpha", "0.5", "--N", "1000000"),
+            # a series longer than its 2^30-term cap, refused before it is summed
+            ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "100000000000"),
             # m + n beyond 2^52, where float64 stops holding indices exactly
             ("green", "--alpha", "0.75", "--m", "100000000000000000000", "--n", "1", "--lam", "-1"),
             ("entry", "--alpha", "-0.5", "--m", "100000000000000000000", "--n", "1"),
@@ -619,6 +620,11 @@ class TestExitCodes:
             # potentials whose V_n, or whose term g_n V_n, overflows float64
             ("hardy-check", "--alpha", "0.75", "--potential", "power:1e300:-400"),
             ("hardy-check", "--alpha", "0.75", "--potential", "explicit:1e308,1e308"),
+            ("probe-min-eig", "--alpha", "1.5", "--N", "5", "--potential", "power:1e300:-400"),
+            # C(2 alpha, alpha) beyond float64 at a non-integer power
+            ("entry", "--alpha", "600.5", "--m", "1", "--n", "1"),
+            ("matrix", "--alpha", "600.5", "--N", "2"),
+            ("probe-min-eig", "--alpha", "600.5", "--N", "5"),
             # argparse drops a "--" attached to its flag
             ("hardy-check", "--alpha", "0.75", "--potential=--"),
             ("entry", "--alpha=--", "--m", "1", "--n", "1"),
@@ -641,6 +647,29 @@ class TestExitCodes:
             code, out, err = run_cli(capsys, "hardy-check", "--alpha", "0.75", "--potential", "power:1:400")
         assert (code, err) == (0, "")
         assert out.splitlines()[:2] == ["decision admissible", "partial_sum 3.2000000000000011"]
+
+    def test_potential_named_when_it_overflows(self, capsys):
+        code, _, err = run_cli(
+            capsys, "probe-min-eig", "--alpha", "1.5", "--N", "5", "--potential", "power:1e300:-400"
+        )
+        assert code == 1
+        assert "power(coeff=1.0000000000000001e+300, exponent=-400)" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("probe-min-eig", "--alpha", "1.5", "--N", "5", "--potential", "power:1:-400"),
+            ("probe-min-eig", "--alpha", "300.5", "--N", "5"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_residual_beyond_float64_is_not_converged(self, capsys, argv):
+        # the residual's norm overflows: inf, not converged, and no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, "")
+        assert "residual inf\nconverged false\n" in out
 
     @pytest.mark.parametrize("target", ["missing/x", "."], ids=["missing-dir", "directory"])
     def test_unwritable_out(self, capsys, tmp_path, target):

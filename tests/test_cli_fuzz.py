@@ -3,9 +3,11 @@
 Every argv must exit 0, 1 or 2 without an exception, a traceback or a
 warning, and a successful run writes nothing to stderr.  Values are drawn
 per flag: numbers, non-finite and out-of-range values, negatives, garbage
-text and small sizes.  Sizes stay small so that every subcommand runs in
-milliseconds; sizes beyond physical memory are covered by
-``test_cli.TestExitCodes``.  ``selftest`` takes no input and is covered by
+text and small sizes.  A second strategy draws one flag at a time and
+keeps the others at valid values, so that the drawn value, an extreme one
+included, reaches the computation behind validation.  Sizes stay small so
+that every subcommand runs in milliseconds; sizes beyond physical memory
+are covered by ``test_cli.TestExitCodes``.  ``selftest`` takes no input and is covered by
 the fixed command set.
 """
 
@@ -51,6 +53,8 @@ POTENTIAL = st.one_of(
 SCHEDULE = _joined(st.integers(-1, 40).map(str)) | GARBAGE
 
 ALPHA = ("--alpha", NUMBER)
+#: a non-integer power whose entries leave float64
+HUGE_ALPHA = "600.5"
 M, N = ("--m", SIZE), ("--n", SIZE)
 
 #: subcommand -> its flags and the strategy of each flag's value
@@ -75,6 +79,23 @@ FLAGS = {
     "probe-reflected": [ALPHA, ("--c", NUMBER), ("--site", SIZE), ("--schedule", SCHEDULE)],
     "probe-kpp": [("--schedule", SCHEDULE)],
 }
+#: a valid value of every flag; with these, probe-min-eig runs on the dense path
+VALID = {
+    "--alpha": "0.75",
+    "--m": "1",
+    "--n": "2",
+    "--N": "5",
+    "--lam": "-1",
+    "--tol": "1e-10",
+    "--epsilon": "0.5",
+    "--count": "5",
+    "--potential": "delta:1:0.5",
+    "--tail-terms": "100",
+    "--c": "0.5",
+    "--method": "auto",
+    "--site": "1",
+    "--schedule": "5,10",
+}
 COMMON = [
     ("--digits", st.integers(-2, 20).map(str) | GARBAGE),
     ("--format", st.sampled_from(["plain", "csv", "json", "xml"])),
@@ -93,16 +114,26 @@ def argvs(draw, command):
     return argv
 
 
-@pytest.mark.parametrize("command", sorted(FLAGS))
-@settings(
+@st.composite
+def one_flag_argvs(draw, command):
+    """argv with one flag drawn from its values, or --alpha=600.5, and every other flag valid."""
+    flags = FLAGS[command]
+    choices = flags + [("--alpha", st.just(HUGE_ALPHA))] if ALPHA in flags else flags
+    drawn, values = draw(st.sampled_from(choices))
+    return [command] + [
+        f"{flag}={draw(values) if flag == drawn else VALID[flag]}" for flag, _ in flags
+    ]
+
+
+FUZZ = settings(
     max_examples=25,
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(data=st.data())
-def test_exit_code_contract(command, data):
-    argv = data.draw(argvs(command), label="argv")
+
+
+def _check_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -113,3 +144,17 @@ def test_exit_code_contract(command, data):
     assert not [str(w.message) for w in caught]
     if code == 0:
         assert err.getvalue() == ""
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@FUZZ
+@given(data=st.data())
+def test_exit_code_contract(command, data):
+    _check_contract(data.draw(argvs(command), label="argv"))
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@FUZZ
+@given(data=st.data())
+def test_one_flag_exit_code_contract(command, data):
+    _check_contract(data.draw(one_flag_argvs(command), label="argv"))

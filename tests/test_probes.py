@@ -123,14 +123,15 @@ class TestTauLowrankPath:
     GRID_ALPHAS = (0.25, 0.5, 0.75, 1.25, 1.4, 1.5, 1.75, 2.5)
 
     @pytest.mark.parametrize("alpha", GRID_ALPHAS)
-    def test_gate_grid_matches_eigh(self, alpha):
-        # called directly below the crossover, so the whole grid stays fast
+    def test_gate_grid_matches_eigh(self, monkeypatch, alpha):
+        # the crossover lowered below the size, so the whole grid stays fast
         size = 150
+        monkeypatch.setattr(probes, "TAU_LOWRANK_MIN_SIZE", size)
         for site in (1, 2, 3):
             for c in (1e-3, 1e-2, 0.5):
                 pot = green.Potential.delta(site, c)
                 for reflected in (False, True):
-                    res = probes._probe_tau_lowrank(alpha, size, pot.values(size), "", reflected)
+                    res = probes._section_probe(alpha, size, pot, "", reflected)
                     exact = _dense_min(alpha, size, pot, reflected)
                     assert abs(res.min_eigenvalue - exact) <= 1e-14 * (1.0 + 4.0**alpha)
                     assert res.converged and res.solver == "tau_lowrank" and res.rank > 0
@@ -160,10 +161,12 @@ class TestTauLowrankPath:
     )
     def test_model_matches_eigh(self, alpha, size, site, c, reflected):
         pot = green.Potential.delta(site, c)
-        res = probes._probe_tau_lowrank(alpha, size, pot.values(size), "", reflected)
+        with pytest.MonkeyPatch.context() as mp:  # the low-rank path at every drawn size
+            mp.setattr(probes, "TAU_LOWRANK_MIN_SIZE", size)
+            res = probes._section_probe(alpha, size, pot, "", reflected)
         exact = _dense_min(alpha, size, pot, reflected)
         assert abs(res.min_eigenvalue - exact) <= 1e-14 * (1.0 + 4.0**alpha)
-        assert res.converged
+        assert res.converged and res.solver == "tau_lowrank" and res.rank > 0
 
     def test_explicit_finite_potential(self, capsys):
         pot = green.Potential.explicit([0.3, 0.0, 0.7, 0.05], finitely_supported=True)
@@ -212,7 +215,7 @@ class TestTauLowrankPath:
         # Newton reaches nu = 0 on this root; bisecting from there took 61 eigh calls
         calls = self._count_small_eigh(monkeypatch)
         pot = green.Potential.delta(1, 0.05)
-        res = probes._probe_tau_lowrank(1.25, 500, pot.values(500), "", False)
+        res = min_eig(1.25, 500, pot)
         assert len(calls) <= 10
         assert abs(res.min_eigenvalue - _dense_min(1.25, 500, pot)) <= 1e-14 * (1.0 + 4.0**1.25)
 
@@ -253,7 +256,7 @@ class TestTauLowrankPath:
             return returned[-1][1:]
 
         monkeypatch.setattr(probes, "_lowrank_correction", recorded)
-        probes._probe_tau_lowrank(alpha, size, green.Potential.delta(1, 0.1).values(size), "", False)
+        assert min_eig(alpha, size, green.Potential.delta(1, 0.1)).solver == "tau_lowrank"
         ((tol, u, lam),) = returned
         omega, sampled = samplings[-1]
         samples = omega.shape[1] - probes._LOWRANK_PROBES
