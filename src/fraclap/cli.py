@@ -7,14 +7,16 @@ alike, depend on the thread count: their printed eigenvalues,
 extrapolations and residuals differ in trailing digits between one and two
 OpenBLAS threads.
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
+A well-formed argv is parsed straight from the command table; argparse is
+imported only for help, abbreviations and usage errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -336,6 +338,12 @@ _N_GRID = ("--n", dict(required=True, help="index or grid spec"))
 _LAM = ("--lam", dict(required=True))
 _SCHEDULE = ("--schedule", dict(default=None))
 _METHODS = ("auto", "closed", "implicit", "small_c", "large_c")
+#: the flags every subcommand takes first
+_COMMON = (
+    ("--digits", dict(type=int, default=17)),
+    ("--format", dict(choices=("csv", "json", "plain"), default="plain")),
+    ("--out", dict(default=None)),
+)
 
 #: name -> (handler, help, (flag, add_argument keywords) after the common flags)
 _COMMANDS = {
@@ -412,37 +420,20 @@ _COMMANDS = {
 }
 
 
-class _UsageError(Exception):
-    """A usage error seen while parsing with only one subcommand's parser."""
+def _build_parser():
+    """The full argparse parser, which prints help and every usage error."""
+    import argparse
 
-
-class _OneCommandParser(argparse.ArgumentParser):
-    # the full parser prints usage errors: some of them list every subcommand
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser; with ``only``, just that subcommand's, for speed.
-
-    A one-subcommand parser raises :class:`_UsageError` instead of printing,
-    so that the full parser can print the message every argv gets.
-    """
-    parser = (argparse.ArgumentParser if only is None else _OneCommandParser)(
+    parser = argparse.ArgumentParser(
         prog="fraclap",
         description="Fractional powers of the discrete half-line Laplacian: "
         "entries, Green kernels, Hardy weights, spectral probes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_, arguments) in _COMMANDS.items():
-        if only not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler)
-        p.add_argument("--digits", type=int, default=17)
-        p.add_argument("--format", choices=("csv", "json", "plain"), default="plain")
-        p.add_argument("--out", default=None)
-        for flag, kwargs in arguments:
+        for flag, kwargs in _COMMON + arguments:
             p.add_argument(flag, **kwargs)
     return parser
 
@@ -468,22 +459,53 @@ def _attach_negative_lambda(argv: list[str]) -> list[str]:
     return out
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """Parses argv, building only the parser of the subcommand it names.
+def _table_args(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a well-formed argv, read from _COMMANDS.
 
-    The full parser is built for help, a missing or unknown command, and
-    to print any usage error, so every argv gets the same output as from
-    the full parser alone.
+    Well-formed: a command, then only exact flags, each as --flag=value
+    (value not --) or as --flag value (value not starting with -), whose
+    values convert and lie in their choices, with every required flag; a
+    repeated flag keeps its last value.  Anything else gives None: an
+    abbreviation, a negative value as its own argument, -h, an extra token.
     """
-    name = argv[0] if argv else None
-    if name in _COMMANDS:
-        if _LAM in _COMMANDS[name][2]:
-            argv = _attach_negative_lambda(argv)
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, arguments = _COMMANDS[argv[0]]
+    flags = dict(_COMMON + arguments)
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, attached, text = token.partition("=")
+        if not attached:
+            text = next(tokens, "-")  # a missing value is declined like a negative one
+        if flag not in flags or (text == "--" if attached else text.startswith("-")):
+            return None
+        kwargs = flags[flag]
         try:
-            return _build_parser(name).parse_args(argv)
-        except _UsageError:
-            pass
-    return _build_parser().parse_args(argv)
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[flag] = value
+    for flag, kwargs in flags.items():
+        if flag not in values:
+            if kwargs.get("required"):
+                return None
+            values[flag] = kwargs.get("default")
+    dests = {flag[2:].replace("-", "_"): value for flag, value in values.items()}
+    return SimpleNamespace(command=argv[0], handler=handler, **dests)
+
+
+def _parse_args(argv: list[str]):
+    """Parses a well-formed argv from the command table, any other with argparse.
+
+    Only the full argparse parser prints help and usage errors, so every
+    argv gets the output, and the exit code, it would get from that parser.
+    """
+    if argv and argv[0] in _COMMANDS and _LAM in _COMMANDS[argv[0]][2]:
+        argv = _attach_negative_lambda(argv)
+    return _table_args(argv) or _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

@@ -362,9 +362,15 @@ class Potential:
         if self.kind == "kpp":
             return _kpp_values(n)
         if self.kind == "power":
+            if not self.coeff:
+                return np.zeros(n.shape)
             # n**exponent out of range: V_n is 0, its value, or inf, which the series refuses
             with np.errstate(over="ignore", divide="ignore"):
-                return self.coeff / n**self.exponent if self.coeff else np.zeros(n.shape)
+                if self.exponent < 0.0:
+                    # a growing V_n: n**exponent underflows and n**-exponent overflows
+                    # long before coeff * n**-exponent does
+                    return np.exp(math.log(self.coeff) - self.exponent * np.log(n))
+                return self.coeff / n**self.exponent
         if self.kind == "delta":
             return np.where(n == self.site, self.coeff, 0.0)
         inside = n <= self._data.size

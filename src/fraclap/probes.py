@@ -157,6 +157,16 @@ def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v over its norm, scaled by max|v| first only where the plain norm,
+    which squares the entries, underflows to 0 or overflows."""
+    norm = np.linalg.norm(v)
+    if norm == 0.0 or not math.isfinite(norm):
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
+    return v / norm
+
+
 def _inverse_iteration(ab: np.ndarray, shift: float) -> np.ndarray:
     """Unit eigenvector for the eigenvalue nearest shift, by banded solves.
 
@@ -172,8 +182,7 @@ def _inverse_iteration(ab: np.ndarray, shift: float) -> np.ndarray:
         full[width - d, d:] = ab[d, : n - d]
     v = np.random.default_rng(0).standard_normal(n)
     for _ in range(_INVERSE_STEPS):
-        v = solve_banded((width, width), full, v, check_finite=False)
-        v /= np.linalg.norm(v)
+        v = _unit(solve_banded((width, width), full, v, check_finite=False))
     return v
 
 
@@ -321,8 +330,7 @@ def _model_min_eigenpair(d, w, signs, bound) -> tuple[float, np.ndarray]:
     x = np.random.default_rng(0).standard_normal(d.size)
     for _ in range(_INVERSE_STEPS):
         z = g * x
-        x = z - g * (w @ linalg.lu_solve(lu, w.T @ z))
-        x /= np.linalg.norm(x)
+        x = _unit(z - g * (w @ linalg.lu_solve(lu, w.T @ z)))
     return float(s), x
 
 

@@ -420,8 +420,38 @@ _USAGE_OUTPUTS = [
 _USAGE_IDS = [" ".join(argv) or "no-arguments" for argv, *_ in _USAGE_OUTPUTS]
 
 
+def table_parse(argv):
+    """cli's table parse of argv, None or the namespace the full argparse
+    parser gives, NaN-aware."""
+    args = cli._table_args(list(argv))
+    if args is not None:
+        full = vars(cli._build_parser().parse_args(list(argv)))
+        assert vars(args).keys() == full.keys()
+        for dest, value in vars(args).items():
+            assert type(value) is type(full[dest]), dest
+            assert value == full[dest] or value != value and full[dest] != full[dest], dest
+    return args
+
+
+#: argv the table parser declines, or must parse as argparse does
+_EDGE_ARGVS = [
+    ("entry", "--al", "1", "--m", "1", "--n", "2"),
+    ("entry", "--alpha", "-0.5", "--m", "3", "--n", "5"),
+    ("entry", "--alpha=-0.5", "--m", "3", "--n", "5"),
+    ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam=-1e-3"),
+    ("green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "--tol", "1e-9"),
+    ("entry", "--alpha", "1", "--m", "1", "--n", "2", "--digits=--"),
+    ("entry", "--alpha", "1", "--m", "1", "--n", "2", "--alpha", "nan", "--m=3"),
+    ("entry", "-h"),
+    ("entry", "--alpha", "1", "--m", "1", "--n", "2", "-h"),
+    ("entry", "--alpha", "1", "--m", "1", "--n", "2", "extra"),
+    ("hardy-check", "--alpha", "0.75", "--potential", "", "--format=csv", "--out="),
+]
+
+
 class TestParsing:
-    """main builds only the named subcommand's parser, with unchanged output."""
+    """main parses well-formed argv from the command table, and any other
+    with the full argparse parser, with unchanged output."""
 
     @pytest.fixture(autouse=True)
     def _fixed_width(self, monkeypatch):
@@ -439,6 +469,29 @@ class TestParsing:
         captured = capsys.readouterr()
         full = (0 if exc.value.code == 0 else 1, captured.out, captured.err)
         assert run_cli(capsys, *argv) == full
+
+    @pytest.mark.parametrize(
+        "argv",
+        [argv for argv, _ in _FIXED_OUTPUTS] + [argv for argv, *_ in _USAGE_OUTPUTS] + _EDGE_ARGVS,
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )
+    def test_table_parser_agrees_with_argparse(self, argv):
+        table_parse(argv)
+
+    def test_table_parser_accepts_well_formed_argv(self):
+        # every fixed command, with a negative lambda attached to its flag as
+        # main does, is parsed from the table unless a value starts with a minus
+        for argv, _ in _FIXED_OUTPUTS:
+            argv = cli._attach_negative_lambda(list(argv))
+            negative = any(value.startswith("-") for value in argv[2::2])
+            assert (table_parse(argv) is None) == negative, argv
+        argv = ["green", "--alpha", "0.75", "--m", "1", "--n", "1", "--lam", "-1e-3"]
+        assert table_parse(argv) is None
+        args = table_parse(cli._attach_negative_lambda(argv))
+        assert (args.lam, args.tol, args.digits, args.format, args.out) == ("-1e-3", 1e-12, 17, "plain", None)
+        # a repeated flag keeps its last value
+        args = table_parse(("entry", "--alpha", "1", "--m", "1", "--n", "2", "--alpha", "nan", "--m=3"))
+        assert math.isnan(args.alpha) and (args.m, args.n) == (3, 2)
 
     @pytest.mark.parametrize(
         "argv, out",
@@ -648,6 +701,16 @@ class TestExitCodes:
         assert (code, err) == (0, "")
         assert out.splitlines()[:2] == ["decision admissible", "partial_sum 3.2000000000000011"]
 
+    def test_growing_power_potential_within_float64(self, capsys):
+        # 1e-300 n^65 is at most 1e25 up to n = 10^5, though n^65 and n^-65 leave float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "hardy-check", "--alpha", "0.75", "--potential", "power:1e-300:-65")
+        assert (code, err) == (0, "")
+        lines = dict(line.split(" ") for line in out.splitlines())
+        assert (lines["decision"], lines["tail_bound"]) == ("inconclusive", "inf")
+        assert math.isfinite(float(lines["partial_sum"]))
+
     def test_potential_named_when_it_overflows(self, capsys):
         code, _, err = run_cli(
             capsys, "probe-min-eig", "--alpha", "1.5", "--N", "5", "--potential", "power:1e300:-400"
@@ -660,6 +723,9 @@ class TestExitCodes:
         [
             ("probe-min-eig", "--alpha", "1.5", "--N", "5", "--potential", "power:1:-400"),
             ("probe-min-eig", "--alpha", "300.5", "--N", "5"),
+            # eigenvector entries whose squares underflow, on the band and low-rank paths
+            ("probe-min-eig", "--alpha", "2", "--N", "5", "--potential", "explicit:1e308"),
+            ("probe-min-eig", "--alpha", "1.5", "--N", "500", "--potential", "explicit:1e200"),
         ],
         ids=lambda argv: " ".join(argv),
     )

@@ -20,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fraclap.cli import main
+from test_cli import table_parse
 
 GARBAGE = st.sampled_from(["", "x", "1e", "--", "1,2", "0x10", "1:2", " ", "1_0", "j"])
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "-nan", "1e400", "-1e400"])
@@ -134,6 +135,7 @@ FUZZ = settings(
 
 
 def _check_contract(argv):
+    table_parse(argv)  # None, or the namespace argparse gives
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

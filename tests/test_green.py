@@ -492,6 +492,9 @@ class TestSeriesSum:
             # V_n underflowing to 0 is its value; a zero coefficient gives zeros
             assert Potential.power(1.0, 400.0).at(np.array([5.0, 6.0])).tolist() == [1.0 / 5.0**400, 0.0]
             assert Potential.power(0.0, -400.0).at(np.arange(1.0, 9.0)).tolist() == [0.0] * 8
+            # a growing V_n within float64, though n^65 and n^-65 leave it
+            grown = Potential.power(1e-300, -65.0).at(np.array([1.0, 1e5]))
+            np.testing.assert_allclose(grown, [1e-300, 1e25], rtol=1e-12)
 
     def test_peak_memory_does_not_grow_with_terms(self):
         pot = Potential.power(0.01, 2.0)

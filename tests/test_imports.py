@@ -95,6 +95,13 @@ def test_shift_invert_probe_loads_no_sparse():
     assert not {m for m in modules if m == "scipy.sparse" or m.startswith("scipy.sparse.")}
 
 
+def test_well_formed_argv_loads_no_argparse():
+    # parsed from the command table; argparse only prints help and usage errors.
+    # An integer power loads no scipy, whose scipy.special loads argparse
+    # (array_api_compat star-imports numpy, which loads numpy.testing)
+    assert "argparse" not in loaded_modules("entry", "--alpha", "1", "--m", "1", "--n", "2")
+
+
 def test_help_loads_no_library_module():
     modules = loaded_modules("--help")
     assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
