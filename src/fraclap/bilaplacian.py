@@ -12,8 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 
-import numpy as np
-
 #: the essential spectrum of the squared operator
 SPECTRUM_TOP = 16.0
 
@@ -117,38 +115,24 @@ def green_entry(m: int, n: int, lam):
     return float(val.real) if is_real else val
 
 
-def _chebyshev_u_even(x: float, site: int):
-    """U_0(x), U_2(x), ..., U_{2 site - 2}(x), two recurrence terms at a time."""
-    u_k, u_next = 1.0, 2.0 * x
-    for _ in range(site):
-        yield u_k
-        u_k = 2.0 * x * u_next - u_k
-        u_next = 2.0 * x * u_k - u_next
-
-
 def _coupling_inverse(s: float, site: int) -> float:
     """1/c as a function of s = 1 - r^2 along the bound-state curve.
 
     Equals ((1-s)/s) * sum_{j=0}^{site-1} (1-s)^j U_{2j}(2 sqrt(1-s)/(2-s)),
     strictly decreasing from +inf (s -> 0) to 0 (s -> 1).  The Chebyshev
-    argument x = cos(theta) lies in (0, 1], since (2-s)^2 - 4(1-s) = s^2.
-    U_{2j}(x) = sin((2j+1) theta)/sin(theta) loses all relative accuracy
-    where sin(theta) < 1e-6; the three-term recurrence takes over there.
+    argument is cos(theta) with sin(theta) = s/(2-s), since (2-s)^2 - 4(1-s)
+    = s^2, so theta = atan2(s, 2 sqrt(1-s)) needs no arccos of a rounded
+    cosine, and U_{2j} = sin((2j+1) theta)/sin(theta) keeps its relative
+    accuracy as s -> 0.
     """
     r2 = 1.0 - s
-    x = 2.0 * math.sqrt(r2) / (2.0 - s)
-    theta = np.arccos(x)
-    sin_theta = np.sin(theta)
-    if sin_theta >= 1e-6:
-        u_even = (np.sin((2 * j + 1) * theta) / sin_theta for j in range(site))
-    else:
-        u_even = _chebyshev_u_even(x, site)
-    acc = 0.0
-    w = 1.0
-    for u_2j in u_even:
-        acc += w * u_2j
+    theta = math.atan2(s, 2.0 * math.sqrt(r2))
+    sin_theta = math.sin(theta)
+    acc, w = 0.0, 1.0
+    for j in range(site):
+        acc += w * (math.sin((2 * j + 1) * theta) / sin_theta)
         w *= r2
-    return float(r2 / s * acc)
+    return r2 / s * acc
 
 
 def _lambda_from_s(s: float) -> float:
@@ -187,9 +171,7 @@ def lambda_bound_state(site: int, c: float) -> float:
     if f(lo) <= 0.0:
         lo = 1e-300
     # reaching s ~ 1e-300 from a unit-size bracket takes ~1000 bisections
-    s = brentq(
-        f, lo, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps * (1.0 + 1e-14), maxiter=1200
-    )
+    s = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * math.ulp(1.0) * (1.0 + 1e-14), maxiter=1200)
     return _lambda_from_s(s)
 
 

@@ -5,8 +5,8 @@ refined uniform bounds valid for 0 < alpha < 3/2, the weight sequence
 g_weight that drives both the refined bound and the sufficient
 admissibility condition, and explicit power-law Hardy weights.
 
-g_weight reads one log-Pochhammer kernel in numpy and math (1e-14 relative at
-every alpha and n); mpmath serves only zeta, zeta' and the alpha = 1 series tail.
+g_weight reads operators' Stirling kernel (1e-14 relative at every alpha and n),
+and zeta, zeta' and the alpha = 1 series tail its Bernoulli numbers, in numpy and math.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -58,47 +57,27 @@ def _tanpi(x: float) -> float:
 
 _K = 8  # L' is a running sum up to n = _K, and six Stirling terms in z = 2n > 16 beyond
 
-
-def _stirling_coeffs(terms: int) -> list[list[float]]:
-    """Coefficients of d, d^3, ... in 2 B_{m+1}(1/2 + d) / (m (m+1)), m = 2, 4, ..."""
-    b = [Fraction(1)]  # the Bernoulli numbers B_j, exact
-    for m in range(1, 2 * terms + 2):
-        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    bh = [(Fraction(2) ** (1 - j) - 1) * bj for j, bj in enumerate(b)]  # B_j(1/2)
-    return [
-        [float(2 * math.comb(m + 1, p) * bh[m + 1 - p] / (m * (m + 1))) for p in range(1, m + 2, 2)]
-        for m in range(2, 2 * terms + 1, 2)
-    ]
-
-
-_STIRLING = _stirling_coeffs(6)
-
-
-def _horner(coeffs, x):
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+#: operators' Stirling rows for F(2n) as a series in n^-2: row i over 4^(i+1), exactly
+_STIRLING_2N = [[c * 0.25 ** (i + 1) for c in row] for i, row in enumerate(operators._STIRLING)]
 
 
 def _log_ratio(alpha: float, n, slope: bool = False):
     """L'(alpha, n) = ln prod_{j=1}^{2n-1} (alpha+j)/(1-alpha+j) at a float64 scalar or array n >= 1.
 
     Up to n = _K, the sum of the logs of the factors 1 + 2d/(j + 1/2 - d), d = alpha - 1/2;
-    beyond, L'(_K) + F(2n) - F(2 _K), F(z) = lnGamma(z+1/2+d) - lnGamma(z+1/2-d) = 2d ln z
-    - sum_{m=2,4,..} 2 B_{m+1}(1/2+d) / (m (m+1) z^m) (DLMF 5.11.8).  Each term is d times a
-    polynomial in d^2 (full relative accuracy as d -> 0); slope gives dL'/d(alpha) at d = 0.
+    beyond, L'(_K) + F(2n) - F(2 _K) from operators' Stirling tail, F(z) = lnGamma(z+1/2+d)
+    - lnGamma(z+1/2-d), taken in n with _STIRLING_2N, so no array 2n is formed.  slope
+    gives dL'/d(alpha) at d = 0.
     """
     d = alpha - 0.5
     if slope:
         terms = [2.0 / (j + 0.5) for j in range(1, 2 * _K)]
-        lead, coeffs = 2.0, [c[0] for c in _STIRLING]
+        lead, coeffs = 2.0, [row[0] for row in _STIRLING_2N]
     else:
         terms = [math.log1p(2.0 * d / (j + 0.5 - d)) for j in range(1, 2 * _K)]
-        lead, coeffs = 2.0 * d, [d * _horner(c, d * d) for c in _STIRLING]
+        lead, coeffs = 2.0 * d, [d * operators._horner(row, d * d) for row in _STIRLING_2N]
     head = list(itertools.accumulate(terms))[::2]  # L'(1), ..., L'(_K)
-    v, v0 = np.square(0.5 / n), 0.25 / _K**2  # z^-2 at z = 2n and z = 2 _K
-    tail = head[-1] + v0 * _horner(coeffs, v0) + lead * np.log(n / _K) - v * _horner(coeffs, v)
+    tail = operators._stirling_tail(head[-1], _K, n, lead, coeffs)
     if not n.ndim:
         return head[int(n) - 1] if n <= _K else tail
     small = n <= _K
@@ -422,16 +401,36 @@ def admissibility_threshold(alpha: float) -> float:
     return 2.0 * math.pi * math.exp(math.lgamma(2.0 * alpha) - 2.0 * math.lgamma(alpha))
 
 
-def zeta_and_derivative(s: float) -> tuple[float, float]:
-    """(zeta(s), zeta'(s)) for s > 1."""
-    if s <= 1.0:
-        raise ValueError(f"zeta_and_derivative requires s > 1, got {s}")
-    import mpmath
+#: B_2k / (2k)!, k = 1, ..., 8, the Euler-Maclaurin weights of zeta_and_derivative
+_EULER_MACLAURIN = [num / (den * math.factorial(2 * k))
+                    for k, (num, den) in enumerate(operators._BERNOULLI[1:], 1)]
 
-    with mpmath.workdps(30):
-        z = mpmath.zeta(s)
-        zp = mpmath.zeta(s, derivative=1)
-    return float(z), float(zp)
+
+def zeta_and_derivative(s: float, q: int = 1) -> tuple[float, float]:
+    """(zeta(s, q), d zeta(s, q)/ds) for s > 1 and an integer q >= 1, by Euler-Maclaurin.
+
+    sum_{q <= n < N} n^-s + N^(1-s)/(s-1) + N^-s/2 + sum_{k=1}^{8} B_2k/(2k)! (s)_(2k-1)
+    N^(1-s-2k) with N = max(q, 12 + 2 ceil(s)), whose first omitted term is below 1e-3 eps,
+    and its s-derivative, each by math.fsum; the loop ends at the first n^-s that underflows.
+    """
+    if not s > 1.0:
+        raise ValueError(f"zeta_and_derivative requires s > 1, got {s}")
+    big = max(q, 12 + 2 * math.ceil(s))
+    log_big, top = math.log(big), big**-s
+    lead = big ** (1.0 - s) / (s - 1.0)
+    z, dz = [lead, 0.5 * top], [-lead * (log_big + 1.0 / (s - 1.0)), -0.5 * log_big * top]
+    rising, harmonic = s / big, 1.0 / s  # (s)_(2k-1) / N^(2k-1) and d ln (s)_(2k-1) / ds
+    for k, weight in enumerate(_EULER_MACLAURIN, 1):
+        z.append(weight * rising * top)
+        dz.append(z[-1] * (harmonic - log_big))
+        rising *= (s + 2 * k - 1) / big * ((s + 2 * k) / big)
+        harmonic += 1.0 / (s + 2 * k - 1) + 1.0 / (s + 2 * k)
+    for n in range(q, big):
+        if (term := n**-s) == 0.0:
+            break
+        z.append(term)
+        dz.append(-math.log(n) * term)
+    return math.fsum(z), math.fsum(dz)
 
 
 def _power_tail_bound(alpha: float, coeff: float, p: float, start: int) -> float:
@@ -439,7 +438,10 @@ def _power_tail_bound(alpha: float, coeff: float, p: float, start: int) -> float
 
     Majorizes g_weight by g_weight_bound and the remaining sum by the
     integral of the (decreasing) majorant; at alpha = 1 the weight is
-    exactly 2*pi*n and the tail is the Hurwitz zeta function, rounded up.
+    exactly 2*pi*n and the tail is 2 pi coeff zeta(p - 1, start + 1), raised
+    by 2 eps (its rounding came to at most 1.4 eps against 50-digit sums over
+    6000 (s, q)) and one ulp; below 2^-900, where zeta's terms may be
+    subnormal, it is bounded by q^-s (1 + q/(s-1)), q = start + 1, in logarithms.
     """
     if coeff == 0.0:
         return 0.0
@@ -447,10 +449,13 @@ def _power_tail_bound(alpha: float, coeff: float, p: float, start: int) -> float
     if alpha == 1.0:
         if p <= 2.0:
             return math.inf
-        import mpmath
-
-        with mpmath.workdps(30):  # Hurwitz zeta: sum_{n > start} n^(1-p)
-            return math.nextafter(float(2 * mpmath.pi * coeff * mpmath.zeta(p - 1.0, start + 1)), math.inf)
+        s, q = p - 1.0, start + 1
+        z = zeta_and_derivative(s, q)[0]
+        if z >= 2.0**-900:
+            return math.nextafter(2.0 * math.pi * coeff * z * (1.0 + 2.0 * math.ulp(1.0)), math.inf)
+        decay = s * math.log(q)  # the exponent below is rounded up past its rounding
+        log_tail = math.log(2.0 * math.pi * coeff) - decay + math.log1p(q / (s - 1.0))
+        return math.nextafter(math.exp(log_tail + 8.0 * math.ulp(1.0) * (decay + 750.0)), math.inf)
     if alpha == 0.5:
         if p <= 1.0:
             return math.inf
@@ -575,8 +580,8 @@ def power_hardy_weight(alpha: float, epsilon: float) -> Potential:
     meets the budget with equality).
     """
     _check_subcritical_range(alpha)
-    if not (epsilon > 0.0 and 1.0 + epsilon > 1.0):
-        raise ValueError(f"epsilon={epsilon!r} must be > 0 with 1 + epsilon > 1")
+    if not (math.isfinite(epsilon) and epsilon > 0.0 and 1.0 + epsilon > 1.0):
+        raise ValueError(f"epsilon={epsilon!r} must be finite and > 0 with 1 + epsilon > 1")
     p = max(1.0, 2.0 * alpha) + epsilon
     z, zp = zeta_and_derivative(1.0 + epsilon)
     thr = admissibility_threshold(alpha)

@@ -157,14 +157,17 @@ def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit(v: np.ndarray) -> np.ndarray:
-    """v over its norm, scaled by max|v| first only where the plain norm,
-    which squares the entries, underflows to 0 or overflows."""
-    norm = np.linalg.norm(v)
+def _norm(v: np.ndarray) -> float:
+    """The 2-norm of v.  np.linalg.norm squares the entries, so it reads 0 or inf where they
+    all lie below about 1e-154 or one lies above about 1e154; then, where every entry is
+    finite and one is not 0, v is scaled by max|v| first."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
     if norm == 0.0 or not math.isfinite(norm):
-        v = v / np.abs(v).max()
-        norm = np.linalg.norm(v)
-    return v / norm
+        top = float(np.abs(v).max())
+        if 0.0 < top < math.inf:
+            norm = top * float(np.linalg.norm(v / top))
+    return norm
 
 
 def _inverse_iteration(ab: np.ndarray, shift: float) -> np.ndarray:
@@ -182,7 +185,8 @@ def _inverse_iteration(ab: np.ndarray, shift: float) -> np.ndarray:
         full[width - d, d:] = ab[d, : n - d]
     v = np.random.default_rng(0).standard_normal(n)
     for _ in range(_INVERSE_STEPS):
-        v = _unit(solve_banded((width, width), full, v, check_finite=False))
+        v = solve_banded((width, width), full, v, check_finite=False)
+        v /= _norm(v)
     return v
 
 
@@ -330,7 +334,8 @@ def _model_min_eigenpair(d, w, signs, bound) -> tuple[float, np.ndarray]:
     x = np.random.default_rng(0).standard_normal(d.size)
     for _ in range(_INVERSE_STEPS):
         z = g * x
-        x = _unit(z - g * (w @ linalg.lu_solve(lu, w.T @ z)))
+        x = z - g * (w @ linalg.lu_solve(lu, w.T @ z))
+        x /= _norm(x)
     return float(s), x
 
 
@@ -505,7 +510,7 @@ def _section_probe(
         solver = "dense" if solved is None else "shift_invert"
         lam, v, bv = solved or _probe_dense(_dense_section(alpha, size, values, reflected))
     with np.errstate(over="ignore"):  # a residual beyond float64 is inf: not converged
-        residual = float(np.linalg.norm(bv - lam * v))
+        residual = _norm(bv - lam * v)
     converged = residual <= 1e-8 * bound
     return ProbeResult(alpha, size, descriptor, lam, converged, residual, solver, rank)
 

@@ -159,20 +159,17 @@ class TestBoundState:
             vals = np.array([_coupling_inverse(v, site) for v in s])
             assert np.all(np.diff(vals) < 0.0)
 
-    @pytest.mark.parametrize("s", [1e-12, 1e-7, 1e-3, 0.5])
+    @pytest.mark.parametrize("s", [1e-300, 1e-12, 1e-7, 1e-3, 0.5, 1.0 - 1e-9])
     def test_coupling_inverse_against_chebyu(self, s):
-        # r2/s * sum_j r2^j U_2j(x) at the same double x and r2, in 30 digits;
-        # s <= 1e-7 puts sin(arccos x) below 1e-6, where the recurrence runs
-        r2 = 1.0 - s
-        x = 2.0 * math.sqrt(r2) / (2.0 - s)
-        assert (math.sin(math.acos(x)) < 1e-6) == (s <= 1e-7)
-        with mpmath.workdps(30):
+        # r2/s * sum_j r2^j U_2j(x), with r2 = 1 - s and x = 2 sqrt(r2)/(2 - s)
+        # exact in s, in 40 digits
+        with mpmath.workdps(40):
+            r2 = 1 - mpmath.mpf(s)
+            x = 2 * mpmath.sqrt(r2) / (2 - mpmath.mpf(s))
             for site in range(1, 13):
-                acc = mpmath.fsum(
-                    mpmath.mpf(r2) ** j * mpmath.chebyu(2 * j, mpmath.mpf(x)) for j in range(site)
-                )
-                exact = float(mpmath.mpf(r2) / mpmath.mpf(s) * acc)
-                assert _coupling_inverse(s, site) == pytest.approx(exact, rel=1e-12)
+                acc = mpmath.fsum(r2**j * mpmath.chebyu(2 * j, x) for j in range(site))
+                exact = float(r2 / mpmath.mpf(s) * acc)
+                assert _coupling_inverse(s, site) == pytest.approx(exact, rel=1e-13)
 
     def test_tiny_coupling_underflow_safe(self):
         # the eigenvalue scales like c^4 and stays accurate deep underflow-free

@@ -18,6 +18,7 @@ from fraclap.green import (
     _MAX_TERMS,
     Potential,
     _block_fsum,
+    _power_tail_bound,
     _series_parts,
     admissibility_threshold,
     g_weight,
@@ -534,6 +535,31 @@ class TestHilbertSchmidtBound:
         assert val <= 1.0 + 1e-12
 
 
+def _hurwitz_oracle(s: float, q: int):
+    """(zeta(s, q), d/ds) in 50 digits: Euler-Maclaurin with 30 Bernoulli terms from
+    M = q + 60 + 2s on.  mpmath.zeta(s, q) itself reads high at large q (by 4e-10
+    relative at s = 399, q = 8193), so it is no reference here."""
+    with mpmath.workdps(50):
+        s = mpmath.mpf(s)
+        big = q + 60 + int(2 * s)
+        ns = [mpmath.mpf(n) for n in range(q, big)]
+        z = mpmath.fsum(n**-s for n in ns)
+        dz = -mpmath.fsum(mpmath.log(n) * n**-s for n in ns)
+        big = mpmath.mpf(big)
+        log_big = mpmath.log(big)
+        z += big ** (1 - s) / (s - 1) + big**-s / 2
+        dz -= log_big * big ** (1 - s) / (s - 1) + big ** (1 - s) / (s - 1) ** 2 + log_big * big**-s / 2
+        rising, harmonic = s, 1 / s
+        for k in range(1, 31):
+            if k > 1:
+                rising *= (s + 2 * k - 3) * (s + 2 * k - 2)
+                harmonic += 1 / (s + 2 * k - 3) + 1 / (s + 2 * k - 2)
+            term = mpmath.bernoulli(2 * k) / mpmath.factorial(2 * k) * rising * big ** (1 - s - 2 * k)
+            z += term
+            dz += term * (harmonic - log_big)
+        return z, dz
+
+
 def _zeta_oracle(s: float, terms: int = 2000):
     """Euler-Maclaurin zeta and derivative, independent of the library path."""
     ns = np.arange(1, terms, dtype=float)
@@ -570,6 +596,59 @@ class TestZeta:
             zeta_and_derivative(1.0)
         with pytest.raises(ValueError):
             zeta_and_derivative(0.5)
+
+    @pytest.mark.parametrize(
+        "s", [1 + 1e-12, 1 + 1e-9, 1 + 1e-6, 1.001, 1.1, 1.5, 2.0, 2.5, 3.7, 7.5, 13.3, 50.0, 99.0, 250.5, 400.0]
+    )
+    def test_within_rounding(self, s):
+        z, zd = zeta_and_derivative(s)
+        with mpmath.workdps(50):
+            assert abs(z - mpmath.zeta(s)) <= 1e-15 * mpmath.zeta(s)
+            assert abs(zd - mpmath.zeta(s, derivative=1)) <= 1e-15 * abs(mpmath.zeta(s, derivative=1))
+
+    def test_hurwitz_against_euler_maclaurin(self):
+        # q just above s + 12: with N = max(q, 12 + ceil(s)) the Bernoulli terms left
+        # 2.4e-15 out at (89.74, 102) and 2.6e-15 at (120.3, 133)
+        cases = [(s, q) for s in (1 + 1e-9, 2.0, 10.0, 89.7) for q in (2, 12, 101, 8193)]
+        for s, q in cases + [(89.74, 102), (120.3, 133)]:
+            z, zd = zeta_and_derivative(s, q)
+            exact, exact_d = _hurwitz_oracle(s, q)
+            if exact < 1e-300:  # (89.7, 8193) underflows float64
+                continue
+            assert abs(z - exact) <= 1e-15 * exact
+            assert abs(zd - exact_d) <= 1e-15 * abs(exact_d)
+
+
+class TestFirstPowerTail:
+    """sum_{n > start} 2 pi n * coeff / n^p = 2 pi coeff zeta(p - 1, start + 1), rounded up."""
+
+    @pytest.mark.parametrize("s", [1 + 1e-9, 1.5, 2.0, 3.5, 10.0, 50.0, 399.0])
+    @pytest.mark.parametrize("start", [1, 11, 8192, 10**5, 2**30])
+    def test_upper_bound_within_1e13(self, s, start):
+        tail = _power_tail_bound(1.0, 0.01, s + 1.0, start)
+        with mpmath.workdps(50):
+            exact = 2 * mpmath.pi * mpmath.mpf(0.01) * _hurwitz_oracle(s, start + 1)[0]
+            assert tail >= exact
+            # an exact tail below float64 reads as its smallest positive value
+            assert tail <= max(float(exact * (1 + mpmath.mpf(1e-13))), math.ulp(0.0))
+
+    @pytest.mark.parametrize("s, start, coeff", [(7.54, 8192, 0.5), (7.68, 10**6, 0.5), (1.05, 10**6, 0.3)])
+    def test_margin_covers_rounding(self, s, start, coeff):
+        # here 2 pi coeff zeta, even one ulp up, lies below the exact tail
+        tail = _power_tail_bound(1.0, coeff, s + 1.0, start)
+        with mpmath.workdps(50):
+            exact = 2 * mpmath.pi * mpmath.mpf(coeff) * _hurwitz_oracle(s, start + 1)[0]
+            assert exact <= tail <= exact * (1 + mpmath.mpf(1e-13))
+
+    @pytest.mark.parametrize(
+        "coeff, p, start", [(1e300, 300.0, 10), (1e300, 64.0, 10**5), (1e200, 40.0, 2**30 - 1)]
+    )
+    def test_upper_bound_where_zeta_is_subnormal(self, coeff, p, start):
+        # zeta(p - 1, start + 1) leaves the normal range while the tail does not
+        tail = _power_tail_bound(1.0, coeff, p, start)
+        with mpmath.workdps(50):
+            exact = 2 * mpmath.pi * mpmath.mpf(coeff) * _hurwitz_oracle(p - 1.0, start + 1)[0]
+            assert exact <= tail <= 1.1 * exact
 
 
 #: subcritical powers, with the removable points 1/2 and 1 and their

@@ -1,9 +1,11 @@
 """Cold start: each subcommand imports only the modules it uses."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,9 @@ def test_integer_entry_loads_no_scipy():
         ("gn", "--alpha", "0.75", "--n", "1:20:5"),
         ("in", "--alpha", "0.75", "--n", "7"),
         ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2"),
+        # zeta(1 + epsilon), zeta' and the alpha = 1 Hurwitz tail are Euler-Maclaurin sums
+        ("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5"),
+        ("hardy-check", "--alpha", "1", "--potential", "power:0.01:3"),
         ("bilap-green", "--m", "2", "--n", "3", "--lam", "-1"),
         ("bilap-lambda", "--n", "1", "--c", "1"),
     ],
@@ -69,11 +74,35 @@ def test_site1_bound_state_loads_no_special():
     assert "scipy.special" not in loaded_modules("bilap-lambda", "--n", "1", "--c", "1")
 
 
-def test_hardy_weight_loads_mpmath_for_zeta_only():
-    # the weight's coefficient needs zeta(1 + epsilon) and its derivative
-    modules = loaded_modules("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5")
-    assert "mpmath" in modules
-    assert "scipy.optimize" not in modules
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("entry", "--alpha", "0.75", "--m", "2", "--n", "3"),
+        ("matrix", "--alpha", "0.75", "--N", "4"),
+        ("entry", "--alpha", "-0.5", "--m", "2", "--n", "3"),
+        ("matrix", "--alpha", "-0.5", "--N", "4"),
+    ],
+    ids=lambda argv: " ".join(argv[:3]),
+)
+def test_non_integer_entries_load_no_scipy(argv):
+    # c[k] and psi(k + 1/2) come from the Stirling kernel in numpy and math
+    modules = loaded_modules(*argv)
+    assert not {m for m in modules if m == "scipy" or m.startswith(("scipy.", "mpmath"))}
+
+
+def test_no_library_module_imports_mpmath():
+    # mpmath is a test oracle, not a dependency
+    importers = []
+    for path in sorted(Path(_SRC, "fraclap").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(name == "mpmath" or name.startswith("mpmath.") for name in names):
+                importers.append(path.name)
+    assert importers == []
 
 
 @pytest.mark.parametrize(

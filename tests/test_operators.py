@@ -2,12 +2,15 @@
 
 import io
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclap import operators
 from fraclap.operators import (
     UnsupportedExponentError,
     _check_indices,
@@ -262,3 +265,65 @@ class TestSectionProduct:
         assert c.shape == (81,)
         assert c[0] - c[2] == mat[0, 0]
         assert c[5] - c[40 + 35] == mat[39, 34]
+
+
+#: indices of the coefficient grid: the whole head, and far into the Stirling tail
+_COEFF_KS = list(range(101)) + [10**3, 4001, 10**5, 10**7, 10**9]
+
+
+def _coefficient_errors(alpha: float) -> list[float]:
+    """Relative errors of c[k] against 50-digit binomials, from both the array
+    path (sections) and the tuple path (entries)."""
+    from_array = operators._signed_coeff(alpha, np.array(_COEFF_KS, dtype=float))
+    from_tuple = operators._signed_coeff(alpha, tuple(_COEFF_KS))
+    errors = []
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        for k, x, y in zip(_COEFF_KS, from_array, from_tuple):
+            exact = (-1) ** k * mpmath.binomial(2 * a, a + k)
+            if abs(exact) > 1e-300:  # c[k] underflows past that, as it should
+                errors.append(float(max(abs(x - exact), abs(y - exact)) / abs(exact)))
+    return errors
+
+
+class TestCoefficients:
+    """c[k] of non-integer powers and of alpha = -1/2 from the one Stirling kernel."""
+
+    @pytest.mark.parametrize(
+        "alpha", [0.25, 0.5 - 1e-9, 0.5 + 1e-9, 0.75, 1 - 1e-9, 1 + 1e-9, 1.5, 2 - 1e-9, 2.5, 4 - 1e-9, 7.5]
+    )
+    def test_against_mpmath_binomials(self, alpha):
+        assert max(_coefficient_errors(alpha)) <= 1e-14 * (1.0 + alpha)
+
+    def test_large_power(self):
+        # the log-Gamma differences this replaced were 1.5e-12 off at k = 4001
+        assert max(_coefficient_errors(50.5)) <= 1e-12
+
+    def test_half_inverse_against_digamma(self):
+        # c[k] = -psi(k + 1/2)/pi, with psi within 1e-15 max(1, |psi|)
+        ks = list(range(200)) + [10**3, 4001, 10**5, 10**7, 10**9, 10**12, 10**15]
+        from_array = operators._signed_coeff(-0.5, np.array(ks, dtype=float))
+        from_tuple = operators._signed_coeff(-0.5, tuple(ks))
+        with mpmath.workdps(40):
+            for k, x, y in zip(ks, from_array, from_tuple):
+                psi = mpmath.digamma(k + mpmath.mpf(0.5))
+                exact = -psi / mpmath.pi
+                assert max(abs(x - exact), abs(y - exact)) <= 1e-15 * max(1, abs(psi)) / math.pi
+
+    def test_overflowing_power_refused(self):
+        assert math.isfinite(entry(514.5, 1, 1))
+        with pytest.raises(ValueError, match="overflow"):
+            entry(600.5, 1, 1)
+
+    def test_bernoulli_and_stirling_tables(self):
+        # the literals against the recurrence sum_{j<=m} C(m+1, j) B_j = 0
+        b = [Fraction(1)]
+        for m in range(1, 17):
+            b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+        assert [Fraction(*pair) for pair in operators._BERNOULLI] == b[::2]
+        half = [(Fraction(2) ** (1 - j) - 1) * bj for j, bj in enumerate(b)]  # B_j(1/2)
+        rows = [
+            [float(2 * math.comb(m + 1, p) * half[m + 1 - p] / (m * (m + 1))) for p in range(1, m + 2, 2)]
+            for m in range(2, 13, 2)
+        ]
+        assert operators._STIRLING == rows

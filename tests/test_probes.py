@@ -509,3 +509,16 @@ class TestTolerance:
     def test_probe_tol_scales_with_norm(self):
         assert probe_tol(1.0) == pytest.approx(5e-10)
         assert probe_tol(2.0) > probe_tol(1.0)
+
+
+class TestNorm:
+    """The residual's 2-norm, whose squares may leave float64 where the norm does not."""
+
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+    def test_scaled_where_squares_leave_float64(self, scale):
+        v = np.array([3.0, -4.0, 0.0]) * scale
+        assert probes._norm(v) == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_non_finite_and_zero(self):
+        assert probes._norm(np.array([np.inf, 1.0])) == math.inf
+        assert probes._norm(np.zeros(3)) == 0.0
