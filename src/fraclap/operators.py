@@ -116,30 +116,34 @@ def _stirling_tail(head: float, z0: float, z, lead: float, coeffs):
 
 
 def _log_gamma_ratio(k, start: int, head: list, lead: float, coeffs):
-    """F(k) - F(start) at integers k: head[k - start] up to the head's end, the Stirling tail
-    beyond.  k is a tuple of Python ints, which gives a list (no array work for a few values),
-    or a float array; k below start reads head[0]."""
+    """F(k) - F(start) at an ascending array of integers k: head[k - start] up to the head's
+    end, the Stirling tail beyond; k below start reads head[0]."""
     end = start + len(head) - 1
-    if isinstance(k, tuple):
-        return [head[max(j - start, 0)] if j <= end else _stirling_tail(head[-1], end, j, lead, coeffs)
-                for j in k]
     inside = np.take(head, np.clip(k - start, 0, end - start).astype(np.intp))
+    if k[-1] <= end:  # near the diagonal: no tail to evaluate
+        return inside
     return np.where(k > end, _stirling_tail(head[-1], end, np.maximum(k, end), lead, coeffs), inside)
 
 
 def _binomial_coeffs(alpha: float, k):
     """(-1)^k C(2 alpha, alpha + k) for a non-integer alpha > 0, at k as _log_gamma_ratio takes it.
 
-    c[0] by the duplication formula, then the exact ratio c[j+1] = c[j] (j - alpha)/(j + alpha + 1)
+    c[0] by the duplication formula, its Gamma ratio from the Stirling kernel at d = -1/4 from
+    alpha = 170 on, then the exact ratio c[j+1] = c[j] (j - alpha)/(j + alpha + 1)
     up to j0 = floor(alpha) + 1; beyond, every ratio is positive and c[k] = c[j0] exp(F(j0) - F(k)),
     F(z) = lnGamma(z + 1 + alpha) - lnGamma(z - alpha) (d = alpha + 1/2): a running sum of
     log1p((2 alpha + 1)/(j - alpha)) up to max(j0, 16) + 12 d, the Stirling tail beyond.
     A ValueError refuses an alpha whose c[0] overflows float64.
     """
     # c[0] = 4^alpha Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha + 1)), 4^alpha scaled by ldexp:
-    # Gamma leaves float64 past alpha = 171, c[0] itself near alpha = 514.6
-    gammas = (math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0) if alpha < 170.0
-              else math.exp(math.lgamma(alpha + 0.5) - math.lgamma(alpha + 1.0)))
+    # Gamma leaves float64 past alpha = 171, c[0] itself near alpha = 514.6.  From 170 on the
+    # ratio is exp(F(z)) = exp(-v sum coeffs v^i) / sqrt(z), z = alpha + 1/4, v = 1/z^2
+    if alpha < 170.0:
+        gammas = math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0)
+    else:
+        v = (alpha + 0.25) ** -2
+        coeffs = [-0.25 * _horner(row, 0.0625) for row in _STIRLING]
+        gammas = math.exp(-v * _horner(coeffs, v)) / math.sqrt(alpha + 0.25)
     twice = math.floor(2.0 * alpha)
     try:
         c0 = math.ldexp(2.0 ** (2.0 * alpha - twice) * _INV_SQRT_PI * gammas, twice)
@@ -153,25 +157,20 @@ def _binomial_coeffs(alpha: float, k):
     steps = itertools.accumulate(math.log1p(lead / (j - alpha)) for j in range(j0, end))
     d = alpha + 0.5
     ratio = _log_gamma_ratio(k, j0, [0.0, *steps], lead, [d * _horner(row, d * d) for row in _STIRLING])
-    if isinstance(k, tuple):
-        return [low[j] if j <= j0 else low[-1] * math.exp(-r) for j, r in zip(k, ratio)]
     return np.where(k > j0, low[-1] * np.exp(-ratio), np.take(low, np.minimum(k, j0).astype(np.intp)))
 
 
 def _signed_coeff(alpha: float, k):
-    """c[k] with A(alpha)_{m,n} = c[|m-n|] - c[m+n] at ascending integers k >= 0, a tuple of
-    Python ints or a float array: the sequences of the module docstring, exact binomials
-    at integer powers, and at alpha = -1/2, since psi(1/2 - k) = psi(1/2 + k), c[0] -
-    (psi(k + 1/2) - psi(1/2))/pi from F' = 2 psi(z + 1/2), the slope of F at d = 0."""
+    """c[k] with A(alpha)_{m,n} = c[|m-n|] - c[m+n] at an ascending array of integers k >= 0:
+    the sequences of the module docstring, exact binomials at integer powers, and at
+    alpha = -1/2, since psi(1/2 - k) = psi(1/2 + k), c[0] - (psi(k + 1/2) - psi(1/2))/pi
+    from F' = 2 psi(z + 1/2), the slope of F at d = 0."""
     if not is_banded(alpha) and alpha > 0.0:
         return _binomial_coeffs(alpha, k)
     if alpha == -0.5:
         steps = itertools.accumulate(2.0 / (j + 0.5) for j in range(min(int(k[-1]), 16)))
         slope = _log_gamma_ratio(k, 0, [0.0, *steps], 2.0, _STIRLING_SLOPE)
-        if isinstance(k, tuple):
-            return [_HALF_INVERSE_DIAGONAL - _INV_TWO_PI * x for x in slope]
         return _HALF_INVERSE_DIAGONAL - _INV_TWO_PI * slope
-    k = np.asarray(k, dtype=float)
     if alpha == -1.0:
         return -0.5 * k
     a = int(alpha)
@@ -183,11 +182,13 @@ def _signed_coeff(alpha: float, k):
 def entry(alpha: float, m: int, n: int) -> float:
     """Matrix entry A(alpha)_{m,n} for m, n >= 1 with m + n < 2^52.
 
-    Integer powers and alpha = -1 are exact.  Otherwise the entry is
-    accurate in absolute terms only, to a few ulps of |c[|m-n|]|: far off
-    the diagonal it is the small difference c[|m-n|] - c[m+n] of two
-    nearly equal coefficients, and it loses its relative accuracy and
-    possibly its sign.  Measured against 50-digit mpmath values:
+    It reads c[|m-n|] and c[m+n] as the sections do, so it equals the
+    entry of :func:`assemble` bit for bit.  Integer powers and alpha = -1
+    are exact.  Otherwise the entry is accurate in absolute terms only, to
+    a few ulps of |c[|m-n|]|: far off the diagonal it is the small
+    difference c[|m-n|] - c[m+n] of two nearly equal coefficients, and it
+    loses its relative accuracy and possibly its sign.  Measured against
+    50-digit mpmath values:
 
     ==========================  ========================  =======================
     call                        returns                   exact value
@@ -200,7 +201,7 @@ def entry(alpha: float, m: int, n: int) -> float:
     """
     _check_exponent(alpha)
     _check_indices(m, n)
-    c = _signed_coeff(alpha, (abs(m - n), m + n))
+    c = _signed_coeff(alpha, np.array([abs(m - n), m + n], dtype=float))
     return float(c[0] - c[1])
 
 

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -115,6 +115,9 @@ class ConvergenceSeries:
 
     The extrapolated limit assumes e_N ~ L + A*rho^k along the schedule and
     is reported with a heuristic error bar, never as a certified value.
+    monotone says whether the eigenvalues fall along the schedule, as
+    Cauchy interlacing has them do.  All three are printed and no verdict
+    reads them.
     """
 
     points: tuple[tuple[int, float], ...]
@@ -170,22 +173,16 @@ def _norm(v: np.ndarray) -> float:
     return norm
 
 
-def _inverse_iteration(ab: np.ndarray, shift: float) -> np.ndarray:
-    """Unit eigenvector for the eigenvalue nearest shift, by banded solves.
+def _inverse_iteration(solve, size: int) -> np.ndarray:
+    """Unit eigenvector for the eigenvalue nearest the shift of solve, x -> (H - shift)^-1 x.
 
     The shift lies within rounding of an eigenvalue, so every solve
     amplifies its eigenvector by about 1/eps over the rest of the spectrum,
     and _INVERSE_STEPS solves from a fixed random start suffice.
     """
-    width, n = ab.shape[0] - 1, ab.shape[1]
-    full = np.zeros((2 * width + 1, n))  # general band storage for solve_banded
-    full[width] = ab[0] - shift
-    for d in range(1, width + 1):
-        full[width + d, : n - d] = ab[d, : n - d]
-        full[width - d, d:] = ab[d, : n - d]
-    v = np.random.default_rng(0).standard_normal(n)
+    v = np.random.default_rng(0).standard_normal(size)
     for _ in range(_INVERSE_STEPS):
-        v = solve_banded((width, width), full, v, check_finite=False)
+        v = solve(v)
         v /= _norm(v)
     return v
 
@@ -199,9 +196,15 @@ def _probe_band(ab: np.ndarray, bound: float) -> tuple[float, np.ndarray, np.nda
     """
     w = eig_banded(ab, lower=True, eigvals_only=True, select="i", select_range=(0, 0))
     lam = float(w[0])
+    width, n = ab.shape[0] - 1, ab.shape[1]
+    full = np.zeros((2 * width + 1, n))  # general band storage for solve_banded
     # one rounding unit of the norm below lam: the solves stay nonsingular
     # where lam is exact (N = 1, or a spectrum known in closed form)
-    v = _inverse_iteration(ab, lam - np.finfo(float).eps * (1.0 + bound))
+    full[width] = ab[0] - (lam - np.finfo(float).eps * (1.0 + bound))
+    for d in range(1, width + 1):
+        full[width + d, : n - d] = ab[d, : n - d]
+        full[width - d, d:] = ab[d, : n - d]
+    v = _inverse_iteration(lambda x: solve_banded((width, width), full, x, check_finite=False), n)
     return lam, v, _band_matvec(ab, v)
 
 
@@ -331,12 +334,12 @@ def _model_min_eigenpair(d, w, signs, bound) -> tuple[float, np.ndarray]:
     # whose small matrix is near singular by design (so no rcond check)
     m, g = secular(s - eps * (1.0 + bound))
     lu = linalg.lu_factor(m)
-    x = np.random.default_rng(0).standard_normal(d.size)
-    for _ in range(_INVERSE_STEPS):
+
+    def solve(x):
         z = g * x
-        x = z - g * (w @ linalg.lu_solve(lu, w.T @ z))
-        x /= _norm(x)
-    return float(s), x
+        return z - g * (w @ linalg.lu_solve(lu, w.T @ z))
+
+    return float(s), _inverse_iteration(solve, d.size)
 
 
 def _section_matvec(
@@ -598,51 +601,36 @@ def criticality_scan(
 ) -> list[ScanRecord]:
     """Dichotomy probe: sections of A(alpha) - c*delta_site per coupling.
 
-    Verdicts: "negative" when the extrapolated limit clears its error bar
-    below zero; "negative_beyond_resolution" when the sections look flat
-    but the scalar Birman-Schwinger equation certifies a bound state whose
-    magnitude is below eigensolver resolution (for alpha >= 3/2 with small
-    c the eigenvalue can be as small as exp(-1/c)); "nonnegative" when no
-    bound state exists down to 1e-300.
+    The verdict reads two certified facts, never the extrapolation.  A
+    rank-one coupling has a bound state exactly where the scalar
+    Birman-Schwinger equation c G(lambda) = 1 has a root: "negative" when
+    it does, or "negative_beyond_resolution" when the root's magnitude is
+    below eigensolver resolution (for alpha >= 3/2 with small c it can be
+    as small as exp(-1/c)).  With no root down to 1e-300, "nonnegative"
+    when every section's smallest eigenvalue, an upper bound on the bottom
+    of the spectrum by Cauchy interlacing, is at least -probe_tol(alpha),
+    else "inconclusive".
     """
     records = []
-    tol = probe_tol(alpha)
     resolution = _EIG_RESOLUTION * (1.0 + 4.0**alpha)
     for c in couplings:
         pot = green.Potential.delta(site, c)
-        results = [min_eig(alpha, n, pot) for n in schedule]
-        series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
+        rec = _witness(alpha, pot, pot.describe(), schedule)
         bs_lam = solve_bs_lambda(alpha, site, c)
-        clearly_negative = series.extrapolated < -max(series.error_bar, tol)
-        if clearly_negative:
-            verdict = "negative"
-        elif bs_lam is not None:
+        if bs_lam is not None:
             verdict = "negative" if abs(bs_lam) > resolution else "negative_beyond_resolution"
-        elif all(r.min_eigenvalue >= -tol for r in results):
-            verdict = "nonnegative"
         else:
-            verdict = "inconclusive"
-        records.append(
-            ScanRecord(
-                alpha=alpha,
-                potential=pot.describe(),
-                schedule=tuple(results),
-                series=series,
-                verdict=verdict,
-                bs_lambda=bs_lam,
-            )
-        )
+            verdict = "nonnegative" if rec.verdict == "nonnegative" else "inconclusive"
+        records.append(replace(rec, verdict=verdict, bs_lambda=bs_lam))
     return records
 
 
-def _witness(
-    alpha: float, pot, descriptor: str, schedule, reflected=False, holds=True, **extra
-) -> ScanRecord:
+def _witness(alpha: float, pot, descriptor: str, schedule, reflected=False, **extra) -> ScanRecord:
     """Sections of B - V along the schedule, with min_eig's checks of alpha and sizes.
 
-    The verdict is "nonnegative" when holds and every section's smallest
-    eigenvalue is at least -probe_tol(alpha), else "negative"; extra goes
-    into the record as it is.
+    The verdict is "nonnegative" when every section's smallest eigenvalue
+    is at least -probe_tol(alpha), else "negative"; extra goes into the
+    record as it is.
     """
     operators.check_positive_power(alpha)
     if any(n < 1 for n in schedule):
@@ -650,7 +638,7 @@ def _witness(
     results = tuple(_section_probe(alpha, n, pot, descriptor, reflected) for n in schedule)
     series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
     tol = probe_tol(alpha)
-    verdict = "nonnegative" if holds and all(r.min_eigenvalue >= -tol for r in results) else "negative"
+    verdict = "nonnegative" if all(r.min_eigenvalue >= -tol for r in results) else "negative"
     return ScanRecord(alpha, descriptor, results, series, verdict, extra=extra)
 
 
@@ -689,7 +677,8 @@ def kpp_witness(schedule=DEFAULT_SCHEDULE) -> ScanRecord:
     n = np.array([10**3, 10**4, 10**5], dtype=float)
     ratios = (pot.at(n) / hardy.at(n)).tolist()
     extra = {"dominates_classical": dominates, "ratio_to_classical": ratios}
-    return _witness(1.0, pot, pot.describe(), schedule, holds=dominates, **extra)
+    rec = _witness(1.0, pot, pot.describe(), schedule, **extra)
+    return rec if dominates else replace(rec, verdict="negative")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -142,6 +143,19 @@ class TestFractionalEntries:
     def test_entry_matches_oracle_property(self, alpha, m, n):
         assert entry(alpha, m, n) == pytest.approx(entry_oracle(alpha, m, n), abs=1e-9)
 
+    def test_entry_is_the_assembled_entry(self):
+        # entries and sections read c[k] through one path, so they agree bit for bit
+        rng = random.Random(1)
+        alphas = [-0.5 if rng.random() < 0.1 else rng.uniform(0.01, 8.0) for _ in range(300)]
+        mismatches = []
+        for alpha in alphas + [-1.0, 1.0, 2.0, 3.0, 7.0]:
+            mat = assemble(alpha, 60)
+            for _ in range(20):
+                m, n = rng.randint(1, 60), rng.randint(1, 60)
+                if entry(alpha, m, n) != mat[m - 1, n - 1]:
+                    mismatches.append((alpha, m, n))
+        assert mismatches == []
+
     def test_symmetry(self):
         for alpha in (0.5, 1.3, 2.2):
             mat = assemble(alpha, 30)
@@ -272,17 +286,15 @@ _COEFF_KS = list(range(101)) + [10**3, 4001, 10**5, 10**7, 10**9]
 
 
 def _coefficient_errors(alpha: float) -> list[float]:
-    """Relative errors of c[k] against 50-digit binomials, from both the array
-    path (sections) and the tuple path (entries)."""
-    from_array = operators._signed_coeff(alpha, np.array(_COEFF_KS, dtype=float))
-    from_tuple = operators._signed_coeff(alpha, tuple(_COEFF_KS))
+    """Relative errors of c[k] against 50-digit binomials."""
+    coeffs = operators._signed_coeff(alpha, np.array(_COEFF_KS, dtype=float))
     errors = []
     with mpmath.workdps(50):
         a = mpmath.mpf(alpha)
-        for k, x, y in zip(_COEFF_KS, from_array, from_tuple):
+        for k, x in zip(_COEFF_KS, coeffs):
             exact = (-1) ** k * mpmath.binomial(2 * a, a + k)
             if abs(exact) > 1e-300:  # c[k] underflows past that, as it should
-                errors.append(float(max(abs(x - exact), abs(y - exact)) / abs(exact)))
+                errors.append(float(abs(x - exact) / abs(exact)))
     return errors
 
 
@@ -299,16 +311,23 @@ class TestCoefficients:
         # the log-Gamma differences this replaced were 1.5e-12 off at k = 4001
         assert max(_coefficient_errors(50.5)) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [170.5, 200.25, 300.5, 400.75, 514.5])
+    def test_large_power_diagonal_within_two_ulps(self, alpha):
+        # from alpha = 170 on, Gamma(alpha + 1/2)/Gamma(alpha + 1) comes from the Stirling kernel
+        c0 = operators._signed_coeff(alpha, np.zeros(1))[0]
+        with mpmath.workdps(50):
+            exact = mpmath.binomial(2 * mpmath.mpf(alpha), mpmath.mpf(alpha))
+            assert abs(c0 - exact) <= 2 * math.ulp(float(exact))
+
     def test_half_inverse_against_digamma(self):
         # c[k] = -psi(k + 1/2)/pi, with psi within 1e-15 max(1, |psi|)
         ks = list(range(200)) + [10**3, 4001, 10**5, 10**7, 10**9, 10**12, 10**15]
-        from_array = operators._signed_coeff(-0.5, np.array(ks, dtype=float))
-        from_tuple = operators._signed_coeff(-0.5, tuple(ks))
+        coeffs = operators._signed_coeff(-0.5, np.array(ks, dtype=float))
         with mpmath.workdps(40):
-            for k, x, y in zip(ks, from_array, from_tuple):
+            for k, x in zip(ks, coeffs):
                 psi = mpmath.digamma(k + mpmath.mpf(0.5))
                 exact = -psi / mpmath.pi
-                assert max(abs(x - exact), abs(y - exact)) <= 1e-15 * max(1, abs(psi)) / math.pi
+                assert abs(x - exact) <= 1e-15 * max(1, abs(psi)) / math.pi
 
     def test_overflowing_power_refused(self):
         assert math.isfinite(entry(514.5, 1, 1))

@@ -472,6 +472,25 @@ class TestScans:
         assert all(r > 1.0 for r in ratios)
         assert ratios[0] > ratios[1] > ratios[2]  # decays toward 1
 
+    def test_extrapolation_decides_no_verdict(self, monkeypatch):
+        # a limit far below zero with no error bar: the sections and the root still decide
+        def below_zero(cls, points):
+            return cls(tuple(points), -1.0, 0.0, True)
+
+        monkeypatch.setattr(ConvergenceSeries, "from_points", classmethod(below_zero))
+        (rec,) = criticality_scan(1.0, 1, [0.01], schedule=SMALL_SCHEDULE)
+        assert rec.series.extrapolated == -1.0
+        assert rec.bs_lambda is None
+        assert rec.verdict == "nonnegative"
+
+    def test_kpp_witness_without_domination_is_negative(self, monkeypatch):
+        # the classical weight made equal to the improved one: no strict domination
+        monkeypatch.setattr(green.Potential, "classical_hardy", classmethod(lambda cls: cls.kpp()))
+        rec = kpp_witness(schedule=SMALL_SCHEDULE)
+        assert rec.extra["dominates_classical"] is False
+        assert all(r.min_eigenvalue >= -probe_tol(1.0) for r in rec.schedule)
+        assert rec.verdict == "negative"
+
 
 class TestSerialization:
     def _records(self):
