@@ -7,6 +7,9 @@ alike, depend on the thread count: their printed eigenvalues,
 extrapolations and residuals differ in trailing digits between one and two
 OpenBLAS threads.
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
+Only this module turns results into text: CSV is quoted by the csv module,
+CSV and plain text print --digits significant digits, JSON full floats.
+Scans print JSON under --format plain; a scalar prints as one number.
 A well-formed argv is parsed straight from the command table; argparse is
 imported only for help, abbreviations and usage errors.
 """
@@ -128,19 +131,27 @@ def _kv_block(pairs, fmt: str, digits: int) -> str:
         return json.dumps(
             {k: (float(v) if isinstance(v, float) else v) for k, v in pairs}, indent=2
         )
-    sep = "," if fmt == "csv" else " "
-    return "\n".join(f"{k}{sep}{_fmt(v, digits)}" for k, v in pairs)
+    return _table(None, pairs, fmt, digits)
 
 
 def _table(header, rows, fmt: str, digits: int) -> str:
+    """Rows as JSON objects keyed by the header, or as CSV or plain text of
+    --digits significant digits; a header of None prints the rows alone."""
     if fmt == "json":
         return json.dumps(
             [dict(zip(header, row)) for row in rows], indent=2, default=float
         )
-    sep = "," if fmt == "csv" else " "
-    lines = [sep.join(header)] if fmt == "csv" else []
-    lines += [sep.join(_fmt(v, digits) for v in row) for row in rows]
-    return "\n".join(lines)
+    rows = ([_fmt(v, digits) for v in row] for row in rows)
+    if fmt == "plain":
+        return "\n".join(" ".join(row) for row in rows)
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    if header is not None:
+        writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +172,7 @@ def _cmd_matrix(args):
     mat = operators.assemble(args.alpha, args.N)
     if args.format == "json":
         return json.dumps({"alpha": args.alpha, "size": args.N, "entries": mat.tolist()}), 0
-    if args.format == "csv":
-        buf = io.StringIO()
-        operators.save_matrix_csv(mat, buf)
-        return buf.getvalue(), 0
-    rows = "\n".join(" ".join(_fmt(float(v), args.digits) for v in row) for row in mat)
-    return rows, 0
+    return _table(None, mat.tolist(), args.format, args.digits), 0
 
 
 def _cmd_green(args):
@@ -275,40 +281,48 @@ def _cmd_probe_min_eig(args):
     return _kv_block(pairs, args.format, args.digits), 0 if res.converged else 2
 
 
-def _records_out(records, fmt: str) -> str:
-    from . import probes
-
-    if fmt == "csv":
-        return probes.records_to_csv(records)
-    return probes.records_to_json(records)
+def _records_out(records, fmt: str, digits: int) -> str:
+    """Scan records as one CSV row per section, else as JSON (plain too):
+    one object for one record, a list for several."""
+    if fmt != "csv":
+        payload = [rec.to_dict() for rec in records]
+        return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
+    header = ("alpha", "potential", "N", "min_eig", "residual", "extrapolated", "error_bar", "verdict")
+    rows = (
+        (rec.alpha, rec.potential, r.size, r.min_eigenvalue, r.residual,
+         rec.series.extrapolated, rec.series.error_bar, rec.verdict)
+        for rec in records
+        for r in rec.schedule
+    )
+    return _table(header, rows, fmt, digits)
 
 
 def _cmd_probe_critical(args):
     from . import probes
 
     records = probes.criticality_scan(args.alpha, args.site, parse_grid(args.c), _schedule(args))
-    return _records_out(records, args.format), 0
+    return _records_out(records, args.format, args.digits), 0
 
 
 def _cmd_probe_hardy(args):
     from . import probes
 
     rec = probes.hardy_witness(args.alpha, args.epsilon, _schedule(args))
-    return _records_out([rec], args.format), 0
+    return _records_out([rec], args.format, args.digits), 0
 
 
 def _cmd_probe_reflected(args):
     from . import probes
 
     rec = probes.reflected_witness(args.alpha, args.c, args.site, _schedule(args))
-    return _records_out([rec], args.format), 0
+    return _records_out([rec], args.format, args.digits), 0
 
 
 def _cmd_probe_kpp(args):
     from . import probes
 
     rec = probes.kpp_witness(_schedule(args))
-    return _records_out([rec], args.format), 0
+    return _records_out([rec], args.format, args.digits), 0
 
 
 def _cmd_selftest(args):
@@ -520,6 +534,8 @@ def main(argv=None) -> int:
         empty = [dest for dest, value in vars(args).items() if value == []]
         if empty:
             raise CliError(f"argument --{empty[0].replace('_', '-')}: expected one argument")
+        if args.digits < 0:
+            raise CliError(f"--digits must be >= 0, got {args.digits}")
         text, code = args.handler(args)
         _emit(text, args.out)
     except (CliError, ValueError) as exc:

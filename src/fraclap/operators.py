@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from typing import IO, Callable
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -345,10 +345,3 @@ def entry_oracle(alpha: float, m, n, tol: float = 1e-12):
 
     val = 2.0 ** (alpha + 1.0) / math.pi * quadrature.integrate_theta(g, tol)
     return val.reshape(shape) if shape else float(val[0])
-
-
-def save_matrix_csv(mat: np.ndarray, fh: IO[str]) -> None:
-    """Row-major CSV with 17 significant digits (round-trip safe)."""
-    for row in mat:
-        fh.write(",".join(f"{v:.17g}" for v in row))
-        fh.write("\n")

@@ -9,9 +9,6 @@ of the squared-Laplacian bound-state convergence.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -679,35 +676,3 @@ def kpp_witness(schedule=DEFAULT_SCHEDULE) -> ScanRecord:
     extra = {"dominates_classical": dominates, "ratio_to_classical": ratios}
     rec = _witness(1.0, pot, pot.describe(), schedule, **extra)
     return rec if dominates else replace(rec, verdict="negative")
-
-
-# ---------------------------------------------------------------------------
-# report serialization
-
-
-def records_to_json(records) -> str:
-    payload = [r.to_dict() for r in records]
-    return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-
-
-def records_to_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["alpha", "potential", "N", "min_eig", "residual", "extrapolated", "error_bar", "verdict"]
-    )
-    for rec in records:
-        for r in rec.schedule:
-            writer.writerow(
-                [
-                    f"{rec.alpha:.17g}",
-                    rec.potential,
-                    r.size,
-                    f"{r.min_eigenvalue:.17g}",
-                    f"{r.residual:.17g}",
-                    f"{rec.series.extrapolated:.17g}",
-                    f"{rec.series.error_bar:.17g}",
-                    rec.verdict,
-                ]
-            )
-    return buf.getvalue()

@@ -54,6 +54,8 @@ class TestExactOutputs:
     def test_digits_flag(self, capsys):
         _, out, _ = run_cli(capsys, "gn", "--alpha", "1", "--n", "5", "--digits", "6")
         assert out == "31.4159\n"
+        _, out, _ = run_cli(capsys, "gn", "--alpha", "1", "--n", "5", "--digits", "0")
+        assert out == "3e+01\n"
 
 
 class TestDeterminism:
@@ -587,8 +589,44 @@ class TestStructuredOutputs:
         assert lines[0] == "n,V_n"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "argv, width",
+        [
+            (("probe-min-eig", "--alpha", "1.5", "--N", "5", "--potential", "delta:1:0.5"), 2),
+            (("probe-critical", "--alpha", "1.5", "--c", "0.05,2", "--schedule", "20,40"), 8),
+            (("probe-hardy", "--alpha", "0.5", "--epsilon", "0.5", "--schedule", "20,40"), 8),
+            (("matrix", "--alpha", "0.75", "--N", "5"), 5),
+            (("gn", "--alpha", "0.75", "--n", "1:20:5"), 2),
+            (("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5", "--count", "4"), 2),
+            (("bounds", "--alpha", "1.25", "--m", "3", "--n", "4"), 2),
+            (("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2"), 2),
+        ],
+        ids=lambda v: v[0] if isinstance(v, tuple) else str(v),
+    )
+    def test_every_csv_parses(self, capsys, argv, width):
+        # kv blocks have two fields a row, tables their header's width, a
+        # matrix its size; every number reads back as the float printed
+        code, out, err = run_cli(capsys, *argv, "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows and all(len(row) == width for row in rows)
+        for field in (field for row in rows for field in row):
+            try:
+                value = float(field)
+            except ValueError:
+                continue
+            assert f"{value:.17g}" == field
+
 
 class TestExitCodes:
+    def test_negative_digits_on_every_subcommand(self, capsys):
+        # refused before the handler runs, so a placeholder fills each required flag
+        for name, (_, _, arguments) in cli._COMMANDS.items():
+            required = [x for flag, kwargs in arguments if kwargs.get("required") for x in (flag, "1")]
+            for digits in (("--digits=-2",), ("--digits", "-2")):
+                code, out, err = run_cli(capsys, name, *required, *digits)
+                assert (code, out, err) == (1, "", "error: --digits must be >= 0, got -2\n"), name
+
     def test_validation_error(self, capsys):
         code, _, err = run_cli(capsys, "entry", "--alpha", "-0.7", "--m", "1", "--n", "1")
         assert code == 1

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import operators
+from fraclap import cli, operators
 from fraclap.operators import (
     UnsupportedExponentError,
     _check_indices,
@@ -20,7 +20,6 @@ from fraclap.operators import (
     assemble_reflected,
     entry,
     entry_oracle,
-    save_matrix_csv,
     section_coefficients,
     section_product,
     sine_indices,
@@ -243,12 +242,10 @@ class TestReflected:
 
 
 class TestSerialization:
-    def test_csv_round_trip(self):
+    def test_csv_round_trip(self, capsys):
         op = assemble(1.25, 12)
-        buf = io.StringIO()
-        save_matrix_csv(op, buf)
-        buf.seek(0)
-        back = np.loadtxt(buf, delimiter=",", ndmin=2)
+        assert cli.main(["matrix", "--alpha", "1.25", "--N", "12", "--format", "csv"]) == 0
+        back = np.loadtxt(io.StringIO(capsys.readouterr().out), delimiter=",", ndmin=2)
         assert np.array_equal(back, op)
 
     def test_sections_fresh_and_writable(self):

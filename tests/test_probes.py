@@ -18,8 +18,6 @@ from fraclap.probes import (
     kpp_witness,
     min_eig,
     probe_tol,
-    records_to_csv,
-    records_to_json,
     reflected_witness,
     solve_bs_lambda,
 )
@@ -493,32 +491,35 @@ class TestScans:
 
 
 class TestSerialization:
-    def _records(self):
-        return criticality_scan(1.0, 1, [0.01, 4.0], schedule=(20, 40, 80))
+    """Scan records as the CLI prints them."""
 
-    def test_json_round_trip(self):
-        records = self._records()
-        payload = json.loads(records_to_json(records))
+    def _printed(self, capsys, fmt, couplings="0.01,4"):
+        argv = ["probe-critical", "--alpha", "1", "--c", couplings, "--schedule", "20,40,80"]
+        assert cli.main(argv + ["--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    def test_json_round_trip(self, capsys):
+        payload = json.loads(self._printed(capsys, "json"))
         assert isinstance(payload, list) and len(payload) == 2
         for entry in payload:
             assert {"alpha", "potential", "schedule", "verdict", "bs_lambda"} <= set(entry)
             assert len(entry["schedule"]) == 3
 
-    def test_json_single_record_is_object(self):
-        payload = json.loads(records_to_json(self._records()[:1]))
+    def test_json_single_record_is_object(self, capsys):
+        payload = json.loads(self._printed(capsys, "json", couplings="0.01"))
         assert isinstance(payload, dict)
 
-    def test_csv_shape(self):
-        text = records_to_csv(self._records())
+    def test_csv_shape(self, capsys):
+        text = self._printed(capsys, "csv")
         lines = text.strip().split("\n")
         assert lines[0].startswith("alpha,potential,N,min_eig")
         assert len(lines) == 1 + 2 * 3
 
-    def test_csv_values_full_precision(self):
+    def test_csv_values_full_precision(self, capsys):
         import csv
         import io
 
-        text = records_to_csv(self._records())
+        text = self._printed(capsys, "csv")
         rows = list(csv.reader(io.StringIO(text)))
         val = float(rows[1][3])
         assert val == min_eig(1.0, 20, green.Potential.delta(1, 0.01)).min_eigenvalue
