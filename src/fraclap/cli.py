@@ -47,15 +47,19 @@ def parse_grid(spec: str) -> list[float]:
             _, a, b, k = spec.split(":")
             # ends of opposite signs: numpy's log10 of the negative end is invalid
             with np.errstate(invalid="raise"):
-                return [float(v) for v in np.geomspace(float(a), float(b), int(k))]
-        if "," in spec:
-            return [float(x) for x in spec.split(",")]
-        if ":" in spec:
+                grid = [float(v) for v in np.geomspace(float(a), float(b), int(k))]
+        elif "," in spec:
+            grid = [float(x) for x in spec.split(",")]
+        elif ":" in spec:
             a, b, k = spec.split(":")
-            return [float(v) for v in np.linspace(float(a), float(b), int(k))]
-        return [float(spec)]
+            grid = [float(v) for v in np.linspace(float(a), float(b), int(k))]
+        else:
+            grid = [float(spec)]
     except (ValueError, TypeError, FloatingPointError) as exc:
         raise CliError(f"bad grid spec {spec!r}") from exc
+    if not grid:  # a count of 0 would compute nothing and exit 0
+        raise CliError(f"bad grid spec {spec!r}")
+    return grid
 
 
 def parse_schedule(spec: str) -> tuple[int, ...]:

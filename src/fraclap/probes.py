@@ -396,23 +396,43 @@ def _dense_section(alpha: float, size: int, values: np.ndarray, reflected: bool)
     return mat
 
 
+def _cholesky_inverse(mat: np.ndarray, shift: float):
+    """q -> (mat + shift*I)^-1 q for the symmetric mat, or None where it is not positive.
+
+    mat + shift*I is Cholesky-factored in place as U^T U: mat.T is
+    Fortran-ordered, so LAPACK overwrites mat and makes no copy.  A failed
+    factorization means an eigenvalue below -shift, and gives None.
+
+    The inverse is two level-2 BLAS triangular solves, U^T y = q and then
+    U x = y (dtrsv).  cho_solve's dpotrs takes the level-3 dtrsm path for
+    one right-hand side and costs two to three times as much at N = 1000
+    (one OpenBLAS thread).  The factor must stay Fortran-contiguous: f2py
+    would otherwise copy all N x N of it on every solve.
+    """
+    mat[np.diag_indices(mat.shape[0])] += shift
+    try:
+        factor, _ = linalg.cho_factor(mat.T, overwrite_a=True, check_finite=False)
+    except linalg.LinAlgError:
+        return None
+    trsv = linalg.get_blas_funcs("trsv", (factor,))
+    return lambda q: trsv(factor, trsv(factor, q, trans=1), overwrite_x=1)
+
+
 def _shift_invert_vector(mat: np.ndarray, shift: float) -> np.ndarray | None:
     """Unit vector for the smallest eigenvalue of the symmetric mat, or None.
 
-    mat + shift*I is Cholesky-factored in place: mat.T is Fortran-ordered,
-    so LAPACK overwrites mat and makes no copy.  A failed factorization
-    means an eigenvalue below -shift, and gives None.  Otherwise Lanczos
-    with full reorthogonalization runs on the inverse, one pair of
-    triangular solves a step, from a fixed start.  The smallest eigenvalue
-    of mat is the largest of the inverse, and the spectral transformation
-    sets it apart from the rest (Ericsson and Ruhe, Math. Comp. 35, 1980).
-    None also when no Ritz pair converges within _LANCZOS_STEPS.
+    mat is overwritten by the Cholesky factor of mat + shift*I
+    (:func:`_cholesky_inverse`), and None means an eigenvalue below -shift.
+    Otherwise Lanczos with full reorthogonalization runs on the inverse,
+    one pair of triangular solves a step, from a fixed start.  The smallest
+    eigenvalue of mat is the largest of the inverse, and the spectral
+    transformation sets it apart from the rest (Ericsson and Ruhe, Math.
+    Comp. 35, 1980).  None also when no Ritz pair converges within
+    _LANCZOS_STEPS.
     """
     size = mat.shape[0]
-    mat[np.diag_indices(size)] += shift
-    try:
-        factor = linalg.cho_factor(mat.T, overwrite_a=True, check_finite=False)
-    except linalg.LinAlgError:
+    solve = _cholesky_inverse(mat, shift)
+    if solve is None:
         return None
     basis = np.empty((_LANCZOS_STEPS, size))
     q = np.random.default_rng(0).standard_normal(size)
@@ -421,7 +441,7 @@ def _shift_invert_vector(mat: np.ndarray, shift: float) -> np.ndarray | None:
     for step in range(_LANCZOS_STEPS):
         basis[step] = q
         krylov = basis[: step + 1]
-        w = linalg.cho_solve(factor, q, check_finite=False)
+        w = solve(q)
         diag.append(float(q @ w))
         for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
             w -= krylov.T @ (krylov @ w)

@@ -731,6 +731,20 @@ class TestExitCodes:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, spec",
+        [
+            (("gn", "--alpha", "0.75", "--n", "1:20:0"), "1:20:0"),
+            (("in", "--alpha", "0.75", "--n", "3:2:0", "--format", "csv"), "3:2:0"),
+            (("probe-critical", "--alpha", "1.5", "--c", "1:2:0", "--schedule", "10"), "1:2:0"),
+            (("gn", "--alpha", "0.75", "--n", "logspace:1:20:0"), "logspace:1:20:0"),
+        ],
+        ids=lambda x: " ".join(x) if isinstance(x, tuple) else x,
+    )
+    def test_grid_count_of_zero(self, capsys, argv, spec):
+        # refused as a negative count is, not run over an empty grid
+        assert run_cli(capsys, *argv) == (1, "", f"error: bad grid spec {spec!r}\n")
+
     def test_potential_underflowing_to_zero(self, capsys):
         # n^400 overflows for n >= 6, where V_n = 1/n^400 underflows to 0, its value
         with warnings.catch_warnings():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from fraclap import cli, green, operators, probes
 from fraclap.bilaplacian import lambda_site1_closed
@@ -340,6 +341,30 @@ class TestShiftInvertPath:
             assert res.solver == "shift_invert" and res.size == size
             assert abs(res.min_eigenvalue - _dense_min(alpha, size, pot, reflected)) <= budget
             assert res.converged
+
+    @pytest.mark.parametrize("size", [50, 400])
+    def test_cholesky_inverse_matches_cho_solve(self, size):
+        rng = np.random.default_rng(size)
+        a = rng.standard_normal((size, size))
+        spd = a @ a.T + np.eye(size)
+        shifted = spd + 0.5 * np.eye(size)
+        q = rng.standard_normal(size)
+        ref = linalg.cho_solve(linalg.cho_factor(shifted), q)
+        solve = probes._cholesky_inverse(spd, 0.5)  # factors spd in place
+        start = q.copy()
+        x = solve(q)
+        assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.array_equal(q, start)  # the Lanczos basis keeps q
+        assert probes._cholesky_inverse(-shifted, 0.5) is None
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.25])
+    def test_hardy_sections_within_measured_steps(self, monkeypatch, alpha):
+        # 20-21, 15 and 10 steps were measured at these alphas: a less
+        # accurate inverse would need more, and fall back to eigh
+        monkeypatch.setattr(probes, "_LANCZOS_STEPS", 22)
+        pot = green.power_hardy_weight(alpha, 0.5)
+        for size in (500, 1000):
+            assert probes._section_probe(alpha, size, pot, "").solver == "shift_invert"
 
     def test_holds_one_section_array(self):
         # the factor overwrites the section, and the Rayleigh quotient and
