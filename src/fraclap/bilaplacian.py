@@ -102,7 +102,13 @@ def green_entry(m: int, n: int, lam):
     # cancellation when both parameters crowd z = 1
     prefactor = xi * eta / (gap_xi + gap_eta - gap_xi * gap_eta)
     diff = gap_eta - gap_xi  # xi - eta
-    if abs(diff) < 2e-6 * max(abs(xi), abs(eta)):
+    if abs(xi) + abs(eta) < 0.5:
+        # both parameters near 0 (|lam| >> 16): the gaps are about 1 and their difference
+        # loses every digit, so xi - eta itself, divided first: prefactor times the bare
+        # difference, about |lam|^(-3/2), underflows from |lam| ~ 1e200 on
+        divided = (_kernel_factor(xi, p, d, gap_xi) - _kernel_factor(eta, p, d, gap_eta)) / (xi - eta)
+        val = prefactor * divided
+    elif abs(diff) < 2e-6 * max(abs(xi), abs(eta)):
         # confluent limit: the divided difference becomes f'(midpoint)
         gap_mid = 0.5 * (gap_xi + gap_eta)
         val = prefactor * _kernel_factor_deriv(1.0 - gap_mid, p, d)
@@ -170,6 +176,8 @@ def lambda_bound_state(site: int, c: float) -> float:
     # f(lo) > 0 and f(hi) < 0 by monotonicity; guard against underflow at lo
     if f(lo) <= 0.0:
         lo = 1e-300
+        if f(lo) <= 0.0:  # s < 1e-300: lambda ~ -s^4/4 underflows, as in the closed form
+            return -0.0
     # reaching s ~ 1e-300 from a unit-size bracket takes ~1000 bisections
     s = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * math.ulp(1.0) * (1.0 + 1e-14), maxiter=1200)
     return _lambda_from_s(s)

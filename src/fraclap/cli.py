@@ -19,6 +19,7 @@ from __future__ import annotations
 import io
 import json
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -186,24 +187,15 @@ def _cmd_green(args):
     return _fmt(val, args.digits), 0
 
 
-def _cmd_gn(args):
+def _cmd_grid(function: str, column: str, args):
     from . import green
 
+    func = getattr(green, function)
     ns = [int(v) for v in parse_grid(args.n)]
     if len(ns) == 1:
-        return _fmt(green.g_weight(args.alpha, ns[0]), args.digits), 0
-    rows = list(zip(ns, green.g_weight(args.alpha, np.array(ns, dtype=float)).tolist()))
-    return _table(["n", "g_n"], rows, args.format, args.digits), 0
-
-
-def _cmd_in(args):
-    from . import green
-
-    ns = [int(v) for v in parse_grid(args.n)]
-    if len(ns) == 1:
-        return _fmt(green.weighted_sq_integral(args.alpha, ns[0]), args.digits), 0
-    rows = list(zip(ns, green.weighted_sq_integral(args.alpha, np.array(ns, dtype=float)).tolist()))
-    return _table(["n", "I_n"], rows, args.format, args.digits), 0
+        return _fmt(func(args.alpha, ns[0]), args.digits), 0
+    rows = list(zip(ns, func(args.alpha, np.array(ns, dtype=float)).tolist()))
+    return _table(["n", column], rows, args.format, args.digits), 0
 
 
 def _cmd_bounds(args):
@@ -372,8 +364,12 @@ _COMMANDS = {
         "resolvent entry by quadrature",
         (_ALPHA, _M, _N, _LAM, ("--tol", dict(type=float, default=1e-12))),
     ),
-    "gn": (_cmd_gn, "weight sequence value(s)", (_ALPHA, _N_GRID)),
-    "in": (_cmd_in, "weighted Chebyshev moment value(s)", (_ALPHA, _N_GRID)),
+    "gn": (partial(_cmd_grid, "g_weight", "g_n"), "weight sequence value(s)", (_ALPHA, _N_GRID)),
+    "in": (
+        partial(_cmd_grid, "weighted_sq_integral", "I_n"),
+        "weighted Chebyshev moment value(s)",
+        (_ALPHA, _N_GRID),
+    ),
     "bounds": (_cmd_bounds, "uniform resolvent bounds", (_ALPHA, _M, _N)),
     "hardy-check": (
         _cmd_hardy_check,

@@ -5,8 +5,8 @@ refined uniform bounds valid for 0 < alpha < 3/2, the weight sequence
 g_weight that drives both the refined bound and the sufficient
 admissibility condition, and explicit power-law Hardy weights.
 
-g_weight reads operators' Stirling kernel (1e-14 relative at every alpha and n),
-and zeta, zeta' and the alpha = 1 series tail its Bernoulli numbers, in numpy and math.
+g_weight reads F(2n) - F(1) through operators' one Stirling evaluator, as c[k] does (1e-14 relative
+at every alpha and n), and zeta, zeta' and the alpha = 1 series tail its Bernoulli numbers.
 """
 
 from __future__ import annotations
@@ -55,35 +55,24 @@ def _tanpi(x: float) -> float:
 # ---------------------------------------------------------------------------
 # weight sequence
 
-_K = 8  # L' is a running sum up to n = _K, and six Stirling terms in z = 2n > 16 beyond
-
-#: operators' Stirling rows for F(2n) as a series in n^-2: row i over 4^(i+1), exactly
-_STIRLING_2N = [[c * 0.25 ** (i + 1) for c in row] for i, row in enumerate(operators._STIRLING)]
+_K = 8  # L' is a running sum up to n = _K, and six Stirling terms in z = 2n > 2 _K beyond
 
 
 def _log_ratio(alpha: float, n, slope: bool = False):
     """L'(alpha, n) = ln prod_{j=1}^{2n-1} (alpha+j)/(1-alpha+j) at a float64 scalar or array n >= 1.
 
-    Up to n = _K, the sum of the logs of the factors 1 + 2d/(j + 1/2 - d), d = alpha - 1/2;
-    beyond, L'(_K) + F(2n) - F(2 _K) from operators' Stirling tail, F(z) = lnGamma(z+1/2+d)
-    - lnGamma(z+1/2-d), taken in n with _STIRLING_2N, so no array 2n is formed.  slope
-    gives dL'/d(alpha) at d = 0.
+    L'(n) = F(2n) - F(1), F(z) = lnGamma(z+1/2+d) - lnGamma(z+1/2-d), d = alpha - 1/2, read
+    through operators' Stirling evaluator: up to z = 2 _K the running sum of the logs of the
+    factors 1 + 2d/(j + 1/2 - d), the Stirling tail beyond.  slope gives dL'/d(alpha) at d = 0.
     """
     d = alpha - 0.5
     if slope:
         terms = [2.0 / (j + 0.5) for j in range(1, 2 * _K)]
-        lead, coeffs = 2.0, [row[0] for row in _STIRLING_2N]
+        lead, coeffs = 2.0, operators._STIRLING_SLOPE
     else:
         terms = [math.log1p(2.0 * d / (j + 0.5 - d)) for j in range(1, 2 * _K)]
-        lead, coeffs = 2.0 * d, [d * operators._horner(row, d * d) for row in _STIRLING_2N]
-    head = list(itertools.accumulate(terms))[::2]  # L'(1), ..., L'(_K)
-    tail = operators._stirling_tail(head[-1], _K, n, lead, coeffs)
-    if not n.ndim:
-        return head[int(n) - 1] if n <= _K else tail
-    small = n <= _K
-    if np.count_nonzero(small):  # of a series' blocks, only the first holds such n
-        return np.where(small, np.take(head, np.minimum(n, _K).astype(np.intp) - 1), tail)
-    return tail
+        lead, coeffs = 2.0 * d, operators._stirling_coeffs(d)
+    return operators._log_gamma_ratio(2.0 * n, 1, [0.0, *itertools.accumulate(terms)], lead, coeffs)
 
 
 def g_weight(alpha: float, n):
@@ -174,8 +163,7 @@ def weighted_sq_integral_quad(alpha: float, n, tol: float = 1e-12, rel: float = 
     from one quadrature pass; a scalar n returns a float.
     """
     _check_subcritical_range(alpha)
-    shape = np.shape(n)
-    ks, ni = np.unique(np.ravel(n), return_inverse=True)
+    shape, ks, _, ni = operators.sine_indices(n, n)
 
     def g(theta):
         with np.errstate(divide="ignore"):
@@ -204,12 +192,10 @@ def green_entry(alpha: float, m, n, lam, tol: float = 1e-12, rel: float = 0.0):
     if not cmath.isfinite(lam):
         raise ValueError(f"lam={lam} must be finite")
     top = 4.0**alpha
-    is_real = not isinstance(lam, complex)
-    if is_real:
-        if 0.0 <= lam <= top:
-            raise ValueError(f"lam={lam} lies in the spectrum [0, {top}]")
-    elif lam.imag == 0.0 and 0.0 <= lam.real <= top:
+    point = complex(lam)
+    if point.imag == 0.0 and 0.0 <= point.real <= top:
         raise ValueError(f"lam={lam} lies in the spectrum [0, {top}]")
+    is_real = not isinstance(lam, complex)
 
     def g(theta):
         s = np.sin(ks[:, None] * theta)

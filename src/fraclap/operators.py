@@ -99,34 +99,45 @@ _HALF_INVERSE_DIAGONAL = 0.6250046529036112
 
 def _horner(coeffs, x):
     acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
+    for c in reversed(coeffs):  # in place on an array: no fresh array a step
+        acc *= x
+        acc += c
     return acc
+
+
+def _stirling_coeffs(d: float) -> list:
+    """F's Stirling coefficients at d, d * _horner(_STIRLING[i], d^2): accurate as d -> 0."""
+    return [d * _horner(row, d * d) for row in _STIRLING]
 
 
 def _stirling_tail(head: float, z0: float, z, lead: float, coeffs):
     """head + F(z) - F(z0) at a float or array z >= z0, F(z) = lnGamma(z+1/2+d) - lnGamma(z+1/2-d)
     = 2d ln z - sum_{m=2,4,..} 2 B_{m+1}(1/2+d) / (m (m+1) z^m) (DLMF 5.11.8), whose six terms are
-    within rounding from z0 = 12 |d| + 16 on.  lead is 2d and coeffs[i] d * _horner(_STIRLING[i],
-    d^2), accurate as d -> 0; 2 and _STIRLING_SLOPE give dF/dd at 0.  coeffs[i] over c^(2i+2)
-    give F(c z) as a series in z."""
-    w, w0 = 1.0 / z, 1.0 / z0
-    v, v0 = np.square(w), w0 * w0
+    within rounding from z0 = 12 |d| + 16 on.  lead is 2d and coeffs _stirling_coeffs(d);
+    2 and _STIRLING_SLOPE give dF/dd at 0."""
+    v, v0 = 1.0 / z, 1.0 / z0
+    v, v0 = v * v, v0 * v0  # 1/z itself is freed before the other temporaries
     return head + v0 * _horner(coeffs, v0) + lead * np.log(z / z0) - v * _horner(coeffs, v)
 
 
 def _log_gamma_ratio(k, start: int, head: list, lead: float, coeffs):
-    """F(k) - F(start) at an ascending array of integers k: head[k - start] up to the head's
-    end, the Stirling tail beyond; k below start reads head[0]."""
-    end = start + len(head) - 1
-    inside = np.take(head, np.clip(k - start, 0, end - start).astype(np.intp))
-    if k[-1] <= end:  # near the diagonal: no tail to evaluate
-        return inside
-    return np.where(k > end, _stirling_tail(head[-1], end, np.maximum(k, end), lead, coeffs), inside)
+    """F(k) - F(start) at integers k held as a float64 scalar or an array of any order and shape:
+    head[k - start] up to the head's end, the Stirling tail beyond; k below start reads head[0]."""
+    end, last = start + len(head) - 1, head[-1]
+    if not k.ndim:
+        return head[max(int(k) - start, 0)] if k <= end else _stirling_tail(last, end, k, lead, coeffs)
+    beyond = k > end
+    count = np.count_nonzero(beyond)
+    if count == k.size:  # every block of a long series after the first
+        return _stirling_tail(last, end, k, lead, coeffs)
+    # any tail before the look-ups: one block-sized array fewer is live while it runs
+    tail = _stirling_tail(last, end, np.maximum(k, end), lead, coeffs) if count else None
+    inside = np.take(head, (k - start).astype(np.intp), mode="clip")
+    return np.where(beyond, tail, inside) if count else inside
 
 
 def _binomial_coeffs(alpha: float, k):
-    """(-1)^k C(2 alpha, alpha + k) for a non-integer alpha > 0, at k as _log_gamma_ratio takes it.
+    """(-1)^k C(2 alpha, alpha + k) for a non-integer alpha > 0, at an ascending array of integers k.
 
     c[0] by the duplication formula, its Gamma ratio from the Stirling kernel at d = -1/4 from
     alpha = 170 on, then the exact ratio c[j+1] = c[j] (j - alpha)/(j + alpha + 1)
@@ -137,13 +148,12 @@ def _binomial_coeffs(alpha: float, k):
     """
     # c[0] = 4^alpha Gamma(alpha + 1/2) / (sqrt(pi) Gamma(alpha + 1)), 4^alpha scaled by ldexp:
     # Gamma leaves float64 past alpha = 171, c[0] itself near alpha = 514.6.  From 170 on the
-    # ratio is exp(F(z)) = exp(-v sum coeffs v^i) / sqrt(z), z = alpha + 1/4, v = 1/z^2
+    # ratio is exp(F(z)) at d = -1/4, exp(-v sum coeffs v^i) / sqrt(z), z = alpha + 1/4, v = 1/z^2
     if alpha < 170.0:
         gammas = math.gamma(alpha + 0.5) / math.gamma(alpha + 1.0)
     else:
         v = (alpha + 0.25) ** -2
-        coeffs = [-0.25 * _horner(row, 0.0625) for row in _STIRLING]
-        gammas = math.exp(-v * _horner(coeffs, v)) / math.sqrt(alpha + 0.25)
+        gammas = math.exp(-v * _horner(_stirling_coeffs(-0.25), v)) / math.sqrt(alpha + 0.25)
     twice = math.floor(2.0 * alpha)
     try:
         c0 = math.ldexp(2.0 ** (2.0 * alpha - twice) * _INV_SQRT_PI * gammas, twice)
@@ -155,8 +165,7 @@ def _binomial_coeffs(alpha: float, k):
     lead = 2.0 * alpha + 1.0
     end = min(int(k[-1]), max(j0, 16) + math.ceil(12.0 * (alpha + 0.5)))
     steps = itertools.accumulate(math.log1p(lead / (j - alpha)) for j in range(j0, end))
-    d = alpha + 0.5
-    ratio = _log_gamma_ratio(k, j0, [0.0, *steps], lead, [d * _horner(row, d * d) for row in _STIRLING])
+    ratio = _log_gamma_ratio(k, j0, [0.0, *steps], lead, _stirling_coeffs(alpha + 0.5))
     return np.where(k > j0, low[-1] * np.exp(-ratio), np.take(low, np.minimum(k, j0).astype(np.intp)))
 
 

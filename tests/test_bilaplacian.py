@@ -76,6 +76,23 @@ class TestGreenEntry:
                 quad = green_mod.green_entry(2.0, m, n, lam)
                 assert closed == pytest.approx(quad, abs=1e-10)
 
+    @pytest.mark.parametrize("lam", [20.0, 1e3, 1e10, 1e20, 1e30])
+    def test_against_quadrature_far_above_spectrum(self, lam):
+        # both parameters near 0: xi - eta taken directly, not from two gaps near 1
+        top = green_mod.green_entry(2.0, 1, 1, lam, tol=1e-300, rel=1e-13)
+        m, n = np.meshgrid(np.arange(1, 6), np.arange(1, 6), indexing="ij")
+        quad = green_mod.green_entry(2.0, m, n, lam, tol=1e-14 * abs(top))
+        closed = np.array([[green_entry(i, j, lam) for j in range(1, 6)] for i in range(1, 6)])
+        assert np.all(np.abs(np.diag(closed) - np.diag(quad)) <= 1e-12 * np.abs(np.diag(quad)))
+        assert np.all(np.abs(closed - quad) <= 1e-12 * abs(top))
+
+    @pytest.mark.parametrize("lam", [1e40, 1e308, -1e300, 5 - 1e40j])
+    def test_diagonal_at_huge_lambda(self, lam):
+        # G_11 = -1/lam (1 + O(1/sqrt|lam|)), and no underflow of an intermediate
+        val = green_entry(1, 1, lam)
+        assert val == pytest.approx(-1.0 / lam, rel=1e-13, abs=0.0)
+        assert green_entry(2, 1, lam) == pytest.approx(0.0, abs=1e-13 * abs(val))
+
     def test_symmetry(self):
         assert green_entry(2, 7, -3.0) == green_entry(7, 2, -3.0)
 
@@ -176,6 +193,14 @@ class TestBoundState:
         lam = lambda_bound_state(1, 1e-60)
         exact = lambda_site1_closed(1e-60)
         assert lam == pytest.approx(exact, rel=1e-11)
+
+    @pytest.mark.parametrize("c", [1e-301, 1e-310])
+    def test_root_below_smallest_bracket(self, c):
+        # s < 1e-300, so lambda ~ -s^4/4 underflows to -0.0, as in the closed form
+        for site in range(1, 6):
+            lam = lambda_bound_state(site, c)
+            assert lam == 0.0 and math.copysign(1.0, lam) == -1.0
+        assert math.copysign(1.0, lambda_site1_closed(c)) == -1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):

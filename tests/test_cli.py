@@ -44,6 +44,28 @@ class TestExactOutputs:
         assert code == 0
         assert out == "-0.055555555555555552\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "1", "--c", "1e-301", "--method", "implicit"),
+            ("--n", "1", "--c", "1e-301"),
+            ("--n", "3", "--c", "1e-302"),
+            ("--n", "5", "--c", "1e-310"),
+        ],
+    )
+    def test_bilap_lambda_underflows_to_negative_zero(self, capsys, argv):
+        # the root s lies below 1e-300: the implicit path prints the closed form's -0
+        assert run_cli(capsys, "bilap-lambda", *argv) == (0, "-0\n", "")
+
+    @pytest.mark.parametrize(
+        "lam, want",
+        [("1e40", -1e-40), ("1e308", -1e-308), ("-1e300", 1e-300), ("5-1e40j", -1e-40j)],
+    )
+    def test_bilap_green_far_above_spectrum(self, capsys, lam, want):
+        code, out, err = run_cli(capsys, "bilap-green", "--m", "1", "--n", "1", f"--lam={lam}")
+        assert (code, err) == (0, "")
+        assert complex(out) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_green_matches_library(self, capsys):
         code, out, _ = run_cli(
             capsys, "green", "--alpha", "1", "--m", "1", "--n", "1", "--lam", "-1"
@@ -199,6 +221,15 @@ _FIXED_OUTPUTS = [
         ("matrix", "--alpha", "2", "--N", "4", "--format", "csv"),
         "5,-4,1,0\n-4,6,-4,1\n1,-4,6,-4\n0,1,-4,6\n",
     ),
+    # g_n on unsorted grids on both sides of the head end n = 8, on the slope
+    # path at alpha = 1/2 and on the Stirling coefficients at 3/4
+    (
+        ("gn", "--alpha", "0.5", "--n", "20,9,8,1"),
+        "20 3.5984394810038984\n9 3.0901589420553615\n8 3.0151976528415161\n1 1.6976527263135501\n",
+    ),
+    (("gn", "--alpha", "0.75", "--n", "9,8,1"), "9 11.553200516532723\n8 10.83542239155965\n1 3.2000000000000011\n"),
+    # c[0] from the Stirling series at d = -1/4, used from alpha = 170 on
+    (("entry", "--alpha", "171.25", "--m", "3", "--n", "40"), "-1.6677413383713315e+98\n"),
 ]
 
 

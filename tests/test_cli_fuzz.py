@@ -29,7 +29,7 @@ REAL = st.floats(-4.0, 4.0).map(repr) | st.sampled_from(
 )
 NUMBER = REAL | REAL | NON_FINITE | GARBAGE
 SIZE = st.integers(-3, 40).map(str) | st.sampled_from(["0", "1", "2", "1.5", "nan"]) | GARBAGE
-LAMBDA = NUMBER | st.sampled_from(["-1-1j", "1j", "2+0j", "-0.5+1e-9j", "nanj"])
+LAMBDA = NUMBER | st.sampled_from(["-1-1j", "1j", "2+0j", "-0.5+1e-9j", "nanj", "1e40", "1e300", "5-1e40j"])
 
 
 def _joined(elements, sep: str = ","):

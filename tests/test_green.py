@@ -93,6 +93,10 @@ class TestWeightSequence:
         for alpha in (1e-4, 0.25, 0.5, 0.5 + 1e-7, 0.75, 0.8, 1.0, 1.0 - 1e-7, 1.3, 1.4999):
             vec = g_weight(alpha, np.arange(1, 51))
             assert vec.tolist() == [g_weight(alpha, n) for n in range(1, 51)]
+            # unsorted and 2-D indices on both sides of the head end _K
+            grid = np.array([[17, _K, 10**7], [_K + 1, 1, 2 * _K]])
+            assert g_weight(alpha, grid).tolist() == [[g_weight(alpha, n) for n in row] for row in grid.tolist()]
+            assert g_weight(alpha, grid[1]).tolist() == [g_weight(alpha, n) for n in grid[1].tolist()]
         assert g_weight(0.75, np.array([[1, 2], [3, 4]])).shape == (2, 2)
 
     def test_half_power_at_huge_index(self):
@@ -169,6 +173,15 @@ class TestWeightedMoment:
                 quad = weighted_sq_integral_quad(alpha, n)
                 assert closed == pytest.approx(quad, abs=1e-9)
 
+    def test_quadrature_indices(self):
+        # one pass over unsorted, repeated indices equals the scalar calls bit for bit
+        ns = np.array([[5, 1], [5, 3]])
+        vals = weighted_sq_integral_quad(0.75, ns)
+        assert vals.tolist() == [[weighted_sq_integral_quad(0.75, n) for n in row] for row in ns.tolist()]
+        for bad in (0, np.array([1, 0]), 2**52):
+            with pytest.raises(ValueError):
+                weighted_sq_integral_quad(0.75, bad)
+
 
 class TestGreenEntry:
     def test_first_power_against_linear_solve(self):
@@ -194,7 +207,12 @@ class TestGreenEntry:
             green_entry(1.0, 1, 1, 2.0)
         with pytest.raises(ValueError):
             green_entry(1.0, 1, 1, 0.0)
+        with pytest.raises(ValueError, match=r"^lam=\(2\+0j\) lies in the spectrum \[0, 4\.0\]$"):
+            green_entry(1.0, 1, 1, 2.0 + 0.0j)
+        with pytest.raises(ValueError, match=r"^lam=4 lies in the spectrum \[0, 4\.0\]$"):
+            green_entry(1.0, 1, 1, 4)
         green_entry(1.0, 1, 1, 4.0**1.0 + 0.5)  # above the spectrum: fine
+        green_entry(1.0, 1, 1, 2.0 + 1.0j)  # off the real axis: fine
 
     def test_complex_lambda(self):
         val = green_entry(1.0, 1, 1, 1.0 + 1.0j)
