@@ -52,12 +52,14 @@ def _kernel_factor(z: complex, p: int, d: int, gap: complex) -> complex:
     """f(z) = (z^p - z^d) / (z - 1/z), given the accurate gap 1 - z.
 
     When the gap is small, numerator and denominator are both rewritten
-    around z = 1 so that neither suffers the z^p - z^d cancellation.
+    around z = 1 so that neither suffers the z^p - z^d cancellation:
+    z^(p-d) - 1 = expm1(u), u = (p-d) log1p(-gap), by log1p(-gap) =
+    2 atanh(-gap/(2-gap)) and expm1(u) = 2t/(1-t), t = tanh(u/2), where
+    Re u < 0 (|z| < 1), so 1 - t does not cancel.
     """
     if abs(gap) < 1e-2:
-        from scipy import special as sp
-
-        num = (1.0 - gap) ** d * sp.expm1((p - d) * sp.log1p(-gap))
+        t = cmath.tanh((p - d) * cmath.atanh(-gap / (2.0 - gap)))
+        num = (1.0 - gap) ** d * (2.0 * t / (1.0 - t))
         den = -gap * (2.0 - gap) / (1.0 - gap)
         return num / den
     return (z**p - z**d) / (z - 1.0 / z)
@@ -121,17 +123,17 @@ def green_entry(m: int, n: int, lam):
     return float(val.real) if is_real else val
 
 
-def _coupling_inverse(s: float, site: int) -> float:
-    """1/c as a function of s = 1 - r^2 along the bound-state curve.
+def _coupling_inverse(s: float, r2: float, site: int) -> float:
+    """1/c as a function of s = 1 - r^2 along the bound-state curve, given s and r^2.
 
     Equals ((1-s)/s) * sum_{j=0}^{site-1} (1-s)^j U_{2j}(2 sqrt(1-s)/(2-s)),
     strictly decreasing from +inf (s -> 0) to 0 (s -> 1).  The Chebyshev
     argument is cos(theta) with sin(theta) = s/(2-s), since (2-s)^2 - 4(1-s)
     = s^2, so theta = atan2(s, 2 sqrt(1-s)) needs no arccos of a rounded
     cosine, and U_{2j} = sin((2j+1) theta)/sin(theta) keeps its relative
-    accuracy as s -> 0.
+    accuracy as s -> 0.  r^2 is passed as well, so that it keeps its own
+    relative accuracy as s -> 1.
     """
-    r2 = 1.0 - s
     theta = math.atan2(s, 2.0 * math.sqrt(r2))
     sin_theta = math.sin(theta)
     acc, w = 0.0, 1.0
@@ -141,19 +143,21 @@ def _coupling_inverse(s: float, site: int) -> float:
     return r2 / s * acc
 
 
-def _lambda_from_s(s: float) -> float:
-    return -(s**4) / ((1.0 - s) * (2.0 - s) ** 2)
-
-
 def _check_coupling(c: float) -> None:
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"coupling c must be finite and > 0, got {c!r}")
 
 
 def lambda_site1_closed(c: float) -> float:
-    """Bound state for a coupling at site 1: -c^4 / ((c+1)(c+2)^2)."""
+    """Bound state for a coupling at site 1: -c^4 / ((c+1)(c+2)^2).
+
+    Where c^4 overflows (c > 1.2e77) it is read as -c (c/(c+1)) (c/(c+2))^2.
+    """
     _check_coupling(c)
-    return -(c**4) / ((c + 1.0) * (c + 2.0) ** 2)
+    try:
+        return -(c**4) / ((c + 1.0) * (c + 2.0) ** 2)
+    except OverflowError:
+        return -c * (c / (c + 1.0)) * (c / (c + 2.0)) ** 2
 
 
 def lambda_bound_state(site: int, c: float) -> float:
@@ -161,16 +165,26 @@ def lambda_bound_state(site: int, c: float) -> float:
 
     Root-finds the bound-state condition in the variable s = 1 - r^2 (the
     eigenvalue is -s^4/((1-s)(2-s)^2), so relative accuracy in s carries
-    over to lam even when lam underflows the scale of c).
+    over to lam even when lam underflows the scale of c).  A root within
+    1e-4 of s = 1 (large c) is found in u = 1 - s instead, so relative
+    accuracy in u carries over to lam = -s^4/(u(1+u)^2) ~ -1/u.
     """
     from scipy.optimize import brentq
 
     if site < 1:
         raise ValueError("site >= 1 required")
     _check_coupling(c)
+    rtol = 4.0 * math.ulp(1.0) * (1.0 + 1e-14)
+
+    def f_u(u):
+        return c * _coupling_inverse(1.0 - u, u, site) - 1.0
+
+    if f_u(1e-4) > 0.0:
+        u = brentq(f_u, math.ulp(0.0), 1e-4, xtol=math.ulp(0.0), rtol=rtol, maxiter=1200)
+        return -((1.0 - u) ** 4) / (u * (1.0 + u) ** 2)
 
     def f(s):
-        return c * _coupling_inverse(s, site) - 1.0
+        return c * _coupling_inverse(s, 1.0 - s, site) - 1.0
 
     lo, hi = 1e-16, 1.0 - 1e-16
     # f(lo) > 0 and f(hi) < 0 by monotonicity; guard against underflow at lo
@@ -179,8 +193,8 @@ def lambda_bound_state(site: int, c: float) -> float:
         if f(lo) <= 0.0:  # s < 1e-300: lambda ~ -s^4/4 underflows, as in the closed form
             return -0.0
     # reaching s ~ 1e-300 from a unit-size bracket takes ~1000 bisections
-    s = brentq(f, lo, hi, xtol=1e-300, rtol=4.0 * math.ulp(1.0) * (1.0 + 1e-14), maxiter=1200)
-    return _lambda_from_s(s)
+    s = brentq(f, lo, hi, xtol=1e-300, rtol=rtol, maxiter=1200)
+    return -(s**4) / ((1.0 - s) * (2.0 - s) ** 2)
 
 
 def lambda_asymptotic(site: int, c: float, regime: str) -> float:

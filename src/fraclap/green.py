@@ -15,7 +15,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -106,29 +106,14 @@ def g_weight(alpha: float, n):
 
 
 def _majorant(alpha: float) -> tuple[float, float]:
-    """(A, beta) with g_weight(alpha, n) <= A * n^beta for all n >= 1, alpha != 1/2."""
+    """(A, beta) with g_weight(alpha, n) <= A * n^beta for all n >= 1, alpha not 1/2 or 1."""
     if alpha < 0.5:
         return _tanpi(alpha), 0.0
-    if alpha == 1.0:
-        return 4.0 * math.pi, 1.0
     chi = 1.0 if alpha > 1.0 else 0.0
     coeff = alpha * (1.0 + alpha) * 2.0 ** (2.0 * alpha - 1.0) / (
         (alpha - 1.0) * (2.0 - alpha) ** (2.0 * alpha)
     )
     return (chi + coeff) * _tanpi(alpha), 2.0 * alpha - 1.0
-
-
-def g_weight_bound(alpha: float, n: int) -> float:
-    """Rigorous upper bound on g_weight, piecewise in alpha.
-
-    For alpha = 1/2 the bound is (6 + 2 ln n)/pi, i.e. twice the odd
-    harmonic estimate sum_{j<=2n} 1/(2j-1) <= (3 + ln n)/2 scaled by 4/pi.
-    """
-    _check_subcritical_range(alpha)
-    if alpha == 0.5:
-        return (6.0 + 2.0 * math.log(n)) / math.pi
-    coeff, beta = _majorant(alpha)
-    return coeff * float(n) ** beta
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +407,13 @@ def zeta_and_derivative(s: float, q: int = 1) -> tuple[float, float]:
 def _power_tail_bound(alpha: float, coeff: float, p: float, start: int) -> float:
     """Upper bound on sum_{n > start} g_weight(alpha, n) * coeff / n^p.
 
-    Majorizes g_weight by g_weight_bound and the remaining sum by the
-    integral of the (decreasing) majorant; at alpha = 1 the weight is
-    exactly 2*pi*n and the tail is 2 pi coeff zeta(p - 1, start + 1), raised
-    by 2 eps (its rounding came to at most 1.4 eps against 50-digit sums over
-    6000 (s, q)) and one ulp; below 2^-900, where zeta's terms may be
-    subnormal, it is bounded by q^-s (1 + q/(s-1)), q = start + 1, in logarithms.
+    Majorizes g_weight by _majorant's A n^beta, or by (2/pi)(3 + ln n) at
+    alpha = 1/2, and the remaining sum by the integral of the (decreasing)
+    majorant; at alpha = 1 the weight is exactly 2*pi*n and the tail is
+    2 pi coeff zeta(p - 1, start + 1), raised by 2 eps (its rounding came to
+    at most 1.4 eps against 50-digit sums over 6000 (s, q)) and one ulp;
+    below 2^-900, where zeta's terms may be subnormal, it is bounded by
+    q^-s (1 + q/(s-1)), q = start + 1, in logarithms.
     """
     if coeff == 0.0:
         return 0.0
@@ -453,12 +439,6 @@ def _power_tail_bound(alpha: float, coeff: float, p: float, start: int) -> float
     if q <= 1.0:
         return math.inf
     return growth * coeff * t ** (1.0 - q) / (q - 1.0)
-
-
-@lru_cache(maxsize=8)
-def _kpp_quadratic_coeff() -> float:
-    n = np.arange(1.0, 10001.0)
-    return float(np.max(n**2 * _kpp_values(n))) * (1.0 + 1e-12)
 
 
 def site_blocks(count: int):
@@ -520,7 +500,10 @@ def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, floa
     elif pot.kind == "classical_hardy":
         tail = _power_tail_bound(alpha, 0.25, 2.0, terms)
     elif pot.kind == "kpp":
-        tail = _power_tail_bound(alpha, _kpp_quadratic_coeff(), 2.0, terms)
+        # n^2 V_n = 2/((1 + sqrt(1-a^2))(2 + sqrt(1-a) + sqrt(1+a))), a = 1/n: both factors
+        # of the denominator grow as a falls, so n^2 V_n is largest at n = 1
+        top = float(_kpp_values(np.ones(1))[0])
+        tail = _power_tail_bound(alpha, top * (1.0 + 1e-12), 2.0, terms)
     elif pot.finitely_supported:
         tail = 0.0 if len(pot.data) <= terms else math.inf
     else:

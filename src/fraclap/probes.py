@@ -117,27 +117,25 @@ class ConvergenceSeries:
     reads them.
     """
 
-    points: tuple[tuple[int, float], ...]
     extrapolated: float
     error_bar: float
     monotone: bool
 
     @classmethod
     def from_points(cls, points) -> "ConvergenceSeries":
-        pts = tuple((int(n), float(e)) for n, e in points)
-        vals = [e for _, e in pts]
+        vals = [float(e) for _, e in points]
         tol = 1e-12 * (1.0 + max(abs(v) for v in vals))
         monotone = all(b <= a + tol for a, b in zip(vals, vals[1:]))
         if len(vals) < 3:
-            return cls(pts, vals[-1], abs(vals[-1] - vals[0]) if len(vals) > 1 else 0.0, monotone)
+            return cls(vals[-1], abs(vals[-1] - vals[0]) if len(vals) > 1 else 0.0, monotone)
         e1, e2, e3 = vals[-3:]
         d1, d2 = e2 - e1, e3 - e2
         if abs(d1) < 1e-300 or abs(d2) >= abs(d1):
             # already flat, or not contracting: take the last value as is
-            return cls(pts, e3, abs(d2), monotone)
+            return cls(e3, abs(d2), monotone)
         rho = d2 / d1
         limit = e3 + d2 * rho / (1.0 - rho)
-        return cls(pts, limit, abs(limit - e3) + 1e-2 * abs(d2), monotone)
+        return cls(limit, abs(limit - e3) + 1e-2 * abs(d2), monotone)
 
 
 def _probe_dense(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -157,19 +155,6 @@ def _band_matvec(ab: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _norm(v: np.ndarray) -> float:
-    """The 2-norm of v.  np.linalg.norm squares the entries, so it reads 0 or inf where they
-    all lie below about 1e-154 or one lies above about 1e154; then, where every entry is
-    finite and one is not 0, v is scaled by max|v| first."""
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if norm == 0.0 or not math.isfinite(norm):
-        top = float(np.abs(v).max())
-        if 0.0 < top < math.inf:
-            norm = top * float(np.linalg.norm(v / top))
-    return norm
-
-
 def _inverse_iteration(solve, size: int) -> np.ndarray:
     """Unit eigenvector for the eigenvalue nearest the shift of solve, x -> (H - shift)^-1 x.
 
@@ -180,7 +165,7 @@ def _inverse_iteration(solve, size: int) -> np.ndarray:
     v = np.random.default_rng(0).standard_normal(size)
     for _ in range(_INVERSE_STEPS):
         v = solve(v)
-        v /= _norm(v)
+        v /= linalg.norm(v, check_finite=False)
     return v
 
 
@@ -530,7 +515,7 @@ def _section_probe(
         solver = "dense" if solved is None else "shift_invert"
         lam, v, bv = solved or _probe_dense(_dense_section(alpha, size, values, reflected))
     with np.errstate(over="ignore"):  # a residual beyond float64 is inf: not converged
-        residual = _norm(bv - lam * v)
+        residual = linalg.norm(bv - lam * v, check_finite=False)
     converged = residual <= 1e-8 * bound
     return ProbeResult(alpha, size, descriptor, lam, converged, residual, solver, rank)
 

@@ -173,7 +173,7 @@ class TestBoundState:
         # crossing for any positive coupling
         for site in (1, 3, 5):
             s = np.linspace(1e-6, 1.0 - 1e-6, 500)
-            vals = np.array([_coupling_inverse(v, site) for v in s])
+            vals = np.array([_coupling_inverse(v, 1.0 - v, site) for v in s])
             assert np.all(np.diff(vals) < 0.0)
 
     @pytest.mark.parametrize("s", [1e-300, 1e-12, 1e-7, 1e-3, 0.5, 1.0 - 1e-9])
@@ -186,7 +186,7 @@ class TestBoundState:
             for site in range(1, 13):
                 acc = mpmath.fsum(r2**j * mpmath.chebyu(2 * j, x) for j in range(site))
                 exact = float(r2 / mpmath.mpf(s) * acc)
-                assert _coupling_inverse(s, site) == pytest.approx(exact, rel=1e-13)
+                assert _coupling_inverse(s, 1.0 - s, site) == pytest.approx(exact, rel=1e-13)
 
     def test_tiny_coupling_underflow_safe(self):
         # the eigenvalue scales like c^4 and stays accurate deep underflow-free
@@ -201,6 +201,24 @@ class TestBoundState:
             lam = lambda_bound_state(site, c)
             assert lam == 0.0 and math.copysign(1.0, lam) == -1.0
         assert math.copysign(1.0, lambda_site1_closed(c)) == -1.0
+
+    @pytest.mark.parametrize("c", [1e4, 1e6, 1e10, 1e14, 1e16, 1e100, 1e300])
+    def test_site1_at_large_coupling(self, c):
+        # lam = -c + 5 + O(1/c): the root in u = 1 - s keeps it to rounding, and the
+        # closed form keeps it where c^4 overflows
+        with mpmath.workdps(40):
+            mc = mpmath.mpf(c)
+            exact = float(-(mc**4) / ((mc + 1) * (mc + 2) ** 2))
+        assert lambda_bound_state(1, c) == pytest.approx(exact, rel=1e-15)
+        assert lambda_site1_closed(c) == pytest.approx(exact, rel=1e-15)
+
+    @pytest.mark.parametrize("site", [2, 3, 4, 5])
+    def test_large_coupling_roots(self, site):
+        couplings = (1e4, 1e10, 1e16)
+        lams = [lambda_bound_state(site, c) for c in couplings]
+        assert lams[0] > lams[1] > lams[2]
+        for c, lam in zip(couplings, lams):
+            assert abs(1.0 - c * green_entry(site, site, lam)) <= 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -47,6 +47,23 @@ class TestExactOutputs:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("--n", "1", "--c", "1e20"),
+            ("--n", "2", "--c", "1e20"),
+            ("--n", "3", "--c", "1e20"),
+            ("--n", "1", "--c", "1e20", "--method", "implicit"),
+            # c^4 overflows float64, lam = -c + 5 + O(1/c) does not
+            ("--n", "1", "--c", "1e100"),
+        ],
+    )
+    def test_bilap_lambda_at_large_coupling(self, capsys, argv):
+        code, out, err = run_cli(capsys, "bilap-lambda", *argv)
+        assert (code, err) == (0, "")
+        value = float(out)
+        assert math.isfinite(value) and value < 0.0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("--n", "1", "--c", "1e-301", "--method", "implicit"),
             ("--n", "1", "--c", "1e-301"),
             ("--n", "3", "--c", "1e-302"),
@@ -736,7 +753,6 @@ class TestExitCodes:
             ("bilap-green", "--m", HUGE, "--n", "1", "--lam", "-1"),
             ("hardy-check", "--alpha", "0.75", "--potential", f"delta:{HUGE}:0.5"),
             ("probe-min-eig", "--alpha", "2", "--N", "5", "--potential", f"delta:{HUGE}:0.5"),
-            ("bilap-lambda", "--n", "1", "--c", "1e100"),
             ("bilap-lambda", "--n", "1", "--c", "1e100", "--method", "small_c"),
             ("probe-critical", "--alpha", "1.5", "--c", "1.7e308", "--schedule", "10"),
             # potentials whose V_n, or whose term g_n V_n, overflows float64

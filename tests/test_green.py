@@ -18,11 +18,11 @@ from fraclap.green import (
     _MAX_TERMS,
     Potential,
     _block_fsum,
+    _majorant,
     _power_tail_bound,
     _series_parts,
     admissibility_threshold,
     g_weight,
-    g_weight_bound,
     green_entry,
     power_hardy_weight,
     reflected_bound_const,
@@ -49,6 +49,17 @@ def _g_oracle(alpha: float, n: int) -> float:
         log_ratio = mpmath.loggamma(a + 2 * n) - mpmath.loggamma(a)
         log_ratio -= mpmath.loggamma(1 - a + 2 * n) - mpmath.loggamma(1 - a)
         return float((1 - mpmath.re(mpmath.exp(log_ratio))) * mpmath.tan(mpmath.pi * a))
+
+
+def weight_majorant(alpha: float, n: int) -> float:
+    """The majorant of g_n that the package reads: the exact 2 pi n at 1, (2/pi)(3 + ln n)
+    at 1/2, the integrand of _power_tail_bound there, and _majorant's A n^beta elsewhere."""
+    if alpha == 1.0:
+        return 2.0 * math.pi * n
+    if alpha == 0.5:
+        return 2.0 / math.pi * (3.0 + math.log(n))
+    coeff, beta = _majorant(alpha)
+    return coeff * float(n) ** beta
 
 
 class TestWeightSequence:
@@ -128,13 +139,13 @@ class TestWeightSequence:
     def test_upper_bound_dominates(self):
         for alpha in (0.25, 0.5, 0.75, 1.0, 1.25, 1.4):
             vals = g_weight(alpha, np.arange(1, 10_001))
-            bounds = np.array([g_weight_bound(alpha, n) for n in range(1, 10_001)])
+            bounds = np.array([weight_majorant(alpha, n) for n in range(1, 10_001)])
             assert np.all(vals <= bounds * (1.0 + 1e-12))
 
     def test_bound_limit_value(self):
-        # the growth coefficient at the first power is 4*pi
-        assert g_weight_bound(1.0, 7) == pytest.approx(4.0 * math.pi * 7.0, rel=1e-14)
-        assert g_weight_bound(0.25, 123) == pytest.approx(1.0, rel=1e-14)
+        # below 1/2 the weight is bounded by tan(pi alpha)
+        coeff, beta = _majorant(0.25)
+        assert (coeff, beta) == (pytest.approx(1.0, rel=1e-14), 0.0)
 
     def test_growth_regimes(self):
         # bounded for a < 1/2; ~ (2/pi) ln n at 1/2; ~ n^(2a-1) above
@@ -682,7 +693,7 @@ class TestBoundProperties:
     @settings(max_examples=200, deadline=None)
     @given(alpha=SUBCRITICAL, n=st.integers(1, 10**6))
     def test_weight_below_its_bound(self, alpha, n):
-        assert g_weight(alpha, n) <= g_weight_bound(alpha, n)
+        assert g_weight(alpha, n) <= weight_majorant(alpha, n)
 
     @settings(max_examples=40, deadline=None)
     @given(

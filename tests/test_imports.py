@@ -69,6 +69,12 @@ def test_no_root_finder_or_mpmath(argv):
     assert "fraclap.probes" not in modules
 
 
+def test_bilap_green_near_zero_loads_no_scipy():
+    # expm1 and log1p of the small-gap kernel factor come from cmath's tanh and atanh
+    modules = loaded_modules("bilap-green", "--m", "2", "--n", "3", "--lam=-1e-12")
+    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
+
+
 def test_site1_bound_state_loads_no_special():
     # the closed form needs numpy alone
     assert "scipy.special" not in loaded_modules("bilap-lambda", "--n", "1", "--c", "1")

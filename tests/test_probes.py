@@ -430,6 +430,11 @@ class TestConvergenceSeries:
         assert series.extrapolated == 2.0
         assert series.monotone
 
+    def test_keeps_no_points(self):
+        # the scan record holds the sections; the series keeps only what it derives
+        series = ConvergenceSeries.from_points([(10, 2.0), (20, 1.5), (40, 1.25)])
+        assert not hasattr(series, "points")
+
 
 class TestBirmanSchwinger:
     def test_subcritical_small_coupling_has_no_bound_state(self):
@@ -498,7 +503,7 @@ class TestScans:
     def test_extrapolation_decides_no_verdict(self, monkeypatch):
         # a limit far below zero with no error bar: the sections and the root still decide
         def below_zero(cls, points):
-            return cls(tuple(points), -1.0, 0.0, True)
+            return cls(-1.0, 0.0, True)
 
         monkeypatch.setattr(ConvergenceSeries, "from_points", classmethod(below_zero))
         (rec,) = criticality_scan(1.0, 1, [0.01], schedule=SMALL_SCHEDULE)
@@ -554,16 +559,3 @@ class TestTolerance:
     def test_probe_tol_scales_with_norm(self):
         assert probe_tol(1.0) == pytest.approx(5e-10)
         assert probe_tol(2.0) > probe_tol(1.0)
-
-
-class TestNorm:
-    """The residual's 2-norm, whose squares may leave float64 where the norm does not."""
-
-    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
-    def test_scaled_where_squares_leave_float64(self, scale):
-        v = np.array([3.0, -4.0, 0.0]) * scale
-        assert probes._norm(v) == pytest.approx(5.0 * scale, rel=1e-15)
-
-    def test_non_finite_and_zero(self):
-        assert probes._norm(np.array([np.inf, 1.0])) == math.inf
-        assert probes._norm(np.zeros(3)) == 0.0

@@ -6,9 +6,6 @@ from pathlib import Path
 
 _ROOT = Path(__file__).resolve().parents[1]
 
-#: the majorant of g_n that the tests check g_weight against; nothing calls it
-_ALLOWED = {"g_weight_bound"}
-
 
 def _uses(node) -> Counter:
     """Names a subtree refers to: loaded identifiers, attributes, imported
@@ -46,6 +43,6 @@ def test_no_top_level_name_is_used_only_by_its_definition():
         f"{path.stem}.{name}"
         for path in package
         for name, node in _definitions(trees[path])
-        if total[name] == _uses(node)[name] and name not in _ALLOWED
+        if total[name] == _uses(node)[name]
     ]
     assert unused == []
