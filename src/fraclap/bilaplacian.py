@@ -12,6 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 
+from . import operators
+
 #: the essential spectrum of the squared operator
 SPECTRUM_TOP = 16.0
 
@@ -163,37 +165,34 @@ def lambda_site1_closed(c: float) -> float:
 def lambda_bound_state(site: int, c: float) -> float:
     """The unique negative eigenvalue of A^2 - c*delta_site.
 
-    Root-finds the bound-state condition in the variable s = 1 - r^2 (the
-    eigenvalue is -s^4/((1-s)(2-s)^2), so relative accuracy in s carries
-    over to lam even when lam underflows the scale of c).  A root within
-    1e-4 of s = 1 (large c) is found in u = 1 - s instead, so relative
-    accuracy in u carries over to lam = -s^4/(u(1+u)^2) ~ -1/u.
+    Root-finds the bound-state condition, decreasing in s = 1 - r^2, on the
+    half of (0, 1) that one sign test at s = 1/2 picks: in s on (0, 1/2], so
+    relative accuracy in s carries over to the eigenvalue -s^4/((1-s)(2-s)^2)
+    even when it underflows the scale of c, and otherwise (large c) in
+    u = 1 - s on (0, 1/2), so relative accuracy in u carries over to
+    lam = -s^4/(u(1+u)^2) ~ -1/u.  On either half 1 - s or 1 - u is at least
+    1/2, so forming it loses nothing.
     """
     from scipy.optimize import brentq
 
-    if site < 1:
-        raise ValueError("site >= 1 required")
+    operators.check_count(site, "site")
     _check_coupling(c)
     rtol = 4.0 * math.ulp(1.0) * (1.0 + 1e-14)
-
-    def f_u(u):
-        return c * _coupling_inverse(1.0 - u, u, site) - 1.0
-
-    if f_u(1e-4) > 0.0:
-        u = brentq(f_u, math.ulp(0.0), 1e-4, xtol=math.ulp(0.0), rtol=rtol, maxiter=1200)
-        return -((1.0 - u) ** 4) / (u * (1.0 + u) ** 2)
 
     def f(s):
         return c * _coupling_inverse(s, 1.0 - s, site) - 1.0
 
-    lo, hi = 1e-16, 1.0 - 1e-16
-    # f(lo) > 0 and f(hi) < 0 by monotonicity; guard against underflow at lo
-    if f(lo) <= 0.0:
-        lo = 1e-300
-        if f(lo) <= 0.0:  # s < 1e-300: lambda ~ -s^4/4 underflows, as in the closed form
-            return -0.0
-    # reaching s ~ 1e-300 from a unit-size bracket takes ~1000 bisections
-    s = brentq(f, lo, hi, xtol=1e-300, rtol=rtol, maxiter=1200)
+    if f(0.5) > 0.0:
+
+        def f_u(u):
+            return c * _coupling_inverse(1.0 - u, u, site) - 1.0
+
+        u = brentq(f_u, math.ulp(0.0), 0.5, xtol=math.ulp(0.0), rtol=rtol, maxiter=1200)
+        return -((1.0 - u) ** 4) / (u * (1.0 + u) ** 2)
+    if f(1e-300) <= 0.0:  # s < 1e-300: lambda ~ -s^4/4 underflows, as in the closed form
+        return -0.0
+    # reaching s ~ 1e-300 from a bracket of width 1/2 takes ~1000 bisections
+    s = brentq(f, 1e-300, 0.5, xtol=1e-300, rtol=rtol, maxiter=1200)
     return -(s**4) / ((1.0 - s) * (2.0 - s) ** 2)
 
 
@@ -203,8 +202,7 @@ def lambda_asymptotic(site: int, c: float, regime: str) -> float:
     regime "small_c": -(n^8 c^4 / 4)(1 - (2n(4n^2-1)/3) c), n = site;
     regime "large_c": -c + 6 for site >= 2, -c + 5 for site 1.
     """
-    if site < 1:
-        raise ValueError("site >= 1 required")
+    operators.check_count(site, "site")
     _check_coupling(c)
     if regime == "small_c":
         n = float(site)

@@ -26,10 +26,9 @@ from . import operators, quadrature
 #: threshold by more than ~1e-12 relative stays inconclusive.
 _THRESHOLD_SLACK = 1e-12
 
-#: sites per block of the admissibility series and of the kpp domination check:
-#: a float64 temporary of 2^13 values (64 KiB) stays below glibc's 128 KiB mmap
-#: threshold, so blocks reuse heap pages instead of faulting in fresh ones, and
-#: it stays in L2
+#: sites per block of the admissibility series: a float64 temporary of 2^13
+#: values (64 KiB) stays below glibc's 128 KiB mmap threshold, so blocks reuse
+#: heap pages instead of faulting in fresh ones, and it stays in L2
 _BLOCK = 1 << 13
 
 #: longest admissibility series, under a minute of CPU time
@@ -290,8 +289,7 @@ class Potential:
 
     @classmethod
     def delta(cls, site: int, coeff: float) -> "Potential":
-        if site < 1:
-            raise ValueError("site >= 1 required")
+        operators.check_count(site, "site")
         _check_coeff(coeff)
         return cls(kind="delta", coeff=coeff, site=site)
 
@@ -354,7 +352,9 @@ def _kpp_values(n: np.ndarray) -> np.ndarray:
     """2 - sqrt((n-1)/n) - sqrt((n+1)/n), rationalized so no cancellation occurs.
 
     Algebraically equal to 2 a^2 / ((1 + sqrt(1-a^2))(2 + sqrt(1-a) + sqrt(1+a)))
-    with a = 1/n; the naive form loses all accuracy past n ~ 1e4.
+    with a = 1/n; the naive form loses all accuracy past n ~ 1e4.  So n^2 V_n =
+    2/((1 + sqrt(1-a^2))(2 + sqrt(1-a) + sqrt(1+a))) falls monotonically to 1/4:
+    both factors of the denominator grow as a falls.
     """
     a = 1.0 / n
     s_lo = np.sqrt(1.0 - a)
@@ -492,16 +492,16 @@ def _series_parts(alpha: float, pot: Potential, terms: int) -> tuple[float, floa
     if terms > _MAX_TERMS:
         raise ValueError(f"the series takes at most {_MAX_TERMS} terms, got {terms}")
     # g_n V_n is formed and summed one block at a time, so its memory does not
-    # grow with terms; the sum is math.fsum's correctly rounded one
+    # grow with terms; the sum is math.fsum's correctly rounded one.  An explicit
+    # V_n is 0 past its data, and fsum is unchanged by exact zeros
+    count = min(terms, len(pot.data)) if pot.kind == "explicit" else terms
     with np.errstate(over="ignore"):  # an inf term is refused by theorem2_check
-        partial = _block_fsum(lambda n: g_weight(alpha, n) * pot.at(n), terms)
+        partial = _block_fsum(lambda n: g_weight(alpha, n) * pot.at(n), count)
     if pot.kind == "power":
         tail = _power_tail_bound(alpha, pot.coeff, pot.exponent, terms)
     elif pot.kind == "classical_hardy":
         tail = _power_tail_bound(alpha, 0.25, 2.0, terms)
-    elif pot.kind == "kpp":
-        # n^2 V_n = 2/((1 + sqrt(1-a^2))(2 + sqrt(1-a) + sqrt(1+a))), a = 1/n: both factors
-        # of the denominator grow as a falls, so n^2 V_n is largest at n = 1
+    elif pot.kind == "kpp":  # n^2 V_n is largest at n = 1 (_kpp_values)
         top = float(_kpp_values(np.ones(1))[0])
         tail = _power_tail_bound(alpha, top * (1.0 + 1e-12), 2.0, terms)
     elif pot.finitely_supported:

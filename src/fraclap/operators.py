@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from typing import Callable
 
@@ -43,6 +44,12 @@ def check_positive_power(alpha: float) -> None:
     """Reject alpha unless it is a finite positive power."""
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise UnsupportedExponentError(f"alpha={alpha!r} must be finite and > 0")
+
+
+def check_count(value, name: str) -> None:
+    """Reject value unless it is an integer >= 1: a site or a section size."""
+    if not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError(f"{name}={value!r} must be an integer >= 1")
 
 
 def _check_indices(m, n) -> None:

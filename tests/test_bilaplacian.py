@@ -147,6 +147,31 @@ class TestGreenEntry:
             green_entry(0, 1, -1.0)
 
 
+def _bound_state_reference(site: int, c: float) -> float:
+    """The bound state from 1/c(s) = c^-1 in 45 digits, bisected in log s or log(1 - s)."""
+    with mpmath.workdps(45):
+        mc, half = mpmath.mpf(c), mpmath.mpf(0.5)
+
+        def excess(s, r2):  # c / c(s) - 1, decreasing in s
+            theta = mpmath.atan2(s, 2 * mpmath.sqrt(r2))
+            acc = mpmath.fsum(r2**j * mpmath.sin((2 * j + 1) * theta) / mpmath.sin(theta) for j in range(site))
+            return mc * r2 / s * acc - 1
+
+        upper = excess(half, half) > 0  # the root lies in s > 1/2
+        lo, hi = mpmath.log(mpmath.mpf(10) ** -330), mpmath.log(half)
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            x = mpmath.exp(mid)
+            if (excess(1 - x, x) < 0) if upper else (excess(x, 1 - x) > 0):
+                lo = mid
+            else:
+                hi = mid
+        x = mpmath.exp((lo + hi) / 2)
+        if upper:
+            return float(-((1 - x) ** 4) / (x * (1 + x) ** 2))
+        return float(-(x**4) / ((1 - x) * (2 - x) ** 2))
+
+
 class TestBoundState:
     def test_site1_closed_form_value(self):
         assert lambda_site1_closed(1.0) == pytest.approx(-1.0 / 18.0, rel=1e-15)
@@ -220,9 +245,19 @@ class TestBoundState:
         for c, lam in zip(couplings, lams):
             assert abs(1.0 - c * green_entry(site, site, lam)) <= 1e-9
 
+    @pytest.mark.parametrize("site", [1, 2, 3])
+    def test_roots_to_rounding(self, site):
+        # one sign test at s = 1/2 picks s or u = 1 - s, and either keeps its
+        # relative accuracy: within 4e-15 of 45-digit roots from c = 1e-3 to 1e6
+        for c in np.logspace(-3.0, 6.0, 24):
+            exact = _bound_state_reference(site, float(c))
+            assert abs(lambda_bound_state(site, float(c)) / exact - 1.0) <= 4e-15
+
     def test_validation(self):
         with pytest.raises(ValueError):
             lambda_bound_state(0, 1.0)
+        with pytest.raises(ValueError, match="integer"):
+            lambda_bound_state(1.5, 1.0)
         with pytest.raises(ValueError):
             lambda_bound_state(1, 0.0)
         with pytest.raises(ValueError):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclap import operators
+from fraclap import green, operators
 from fraclap.green import (
     _BLOCK,
     _K,
@@ -316,6 +316,12 @@ class TestPotentials:
         with pytest.raises(ValueError):
             Potential.power(-0.5, 2.0)
 
+    def test_delta_site_is_an_integer(self):
+        # a site of 1.5 matches no site: every section would see V = 0
+        for site in (1.5, 0, 2.0):
+            with pytest.raises(ValueError, match="integer >= 1"):
+                Potential.delta(site, 0.1)
+
     def test_finiteness_enforced(self):
         # NaN slips past a plain "coeff < 0" test
         for bad in (math.nan, math.inf):
@@ -439,6 +445,14 @@ _SERIES_POTENTIALS = [
 ]
 
 
+#: four values with a finite support, more than a block of values without one, and none
+_EXPLICIT_POTENTIALS = [
+    Potential.explicit([0.5, 0.25, 0.125, 0.0625], finitely_supported=True),
+    Potential.explicit([random.Random(25).random() for _ in range(_BLOCK + 40)]),
+    Potential.zero(),
+]
+
+
 class TestSeriesSum:
     """The admissibility series is math.fsum of g_n V_n, bit for bit."""
 
@@ -508,6 +522,31 @@ class TestSeriesSum:
             blocks = list(site_blocks(count))
             assert max(b.size for b in blocks) <= _BLOCK
             assert np.array_equal(np.concatenate(blocks), np.arange(1.0, count + 1.0))
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("pot", _EXPLICIT_POTENTIALS, ids=lambda pot: f"{len(pot.data)}-values")
+    def test_explicit_series_is_fsum_over_every_term(self, alpha, pot):
+        # V_n is 0 past the data, so summing the data's sites alone keeps every bit
+        size = len(pot.data)
+        for terms in sorted({1, max(size - 1, 1), max(size, 1), size + 1, 100_000}):
+            n = np.arange(1.0, terms + 1.0)
+            res = theorem2_check(alpha, pot, terms)
+            assert _same(res.partial_sum, math.fsum((g_weight(alpha, n) * pot.at(n)).tolist()))
+            assert _same(res.tail_bound, 0.0 if pot.finitely_supported and size <= terms else math.inf)
+
+    def test_explicit_series_weighs_only_its_data(self, monkeypatch):
+        sites = []
+
+        def counted(alpha, n):
+            sites.append(np.size(n))
+            return g_weight(alpha, n)
+
+        monkeypatch.setattr(green, "g_weight", counted)
+        for pot in _EXPLICIT_POTENTIALS:
+            for terms in (1, 3, 100_000):
+                sites.clear()
+                theorem2_check(0.75, pot, terms)
+                assert sum(sites) <= min(terms, len(pot.data))
 
     def test_refuses_too_long_a_series(self):
         with pytest.raises(ValueError, match="at most"):

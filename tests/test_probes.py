@@ -62,6 +62,12 @@ class TestMinEig:
         with pytest.raises(ValueError):
             min_eig(1.0, 0, green.Potential.zero())
 
+    def test_non_integer_size_refused(self):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            min_eig(1.5, 1.5, green.Potential.zero())
+        with pytest.raises(ValueError, match="integer >= 1"):
+            hardy_witness(0.5, 0.5, (50, 100.5))
+
 
 class TestIntegerBandPath:
     """Integer powers are solved in band storage, never as dense sections."""
@@ -460,6 +466,13 @@ class TestBirmanSchwinger:
         with pytest.raises(ValueError):
             solve_bs_lambda(1.0, 1, 0.0)
 
+    def test_non_integer_site_and_non_finite_coupling_refused(self):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            solve_bs_lambda(1.5, 1.5, 0.1)
+        for c in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                solve_bs_lambda(1.5, 1, c)
+
 
 class TestScans:
     def test_subcritical_scan_nonnegative(self):
@@ -510,6 +523,35 @@ class TestScans:
         assert rec.series.extrapolated == -1.0
         assert rec.bs_lambda is None
         assert rec.verdict == "nonnegative"
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            lambda schedule: criticality_scan(1.0, 1, [0.1], schedule),
+            lambda schedule: hardy_witness(0.5, 0.5, schedule),
+            lambda schedule: reflected_witness(0.75, 0.1, 1, schedule),
+            kpp_witness,
+        ],
+        ids=["critical", "hardy", "reflected", "kpp"],
+    )
+    def test_empty_schedule_refused(self, scan):
+        with pytest.raises(ValueError, match="at least one section size"):
+            scan(())
+
+    def test_kpp_witness_weighs_the_sections_and_four_sites(self, monkeypatch):
+        # n^2 V_n falls to 1/4, so domination up to 10^6 is one comparison at 10^6
+        sites = []
+        kpp_values = green._kpp_values
+
+        def counted(n):
+            sites.append(n.size)
+            return kpp_values(n)
+
+        monkeypatch.setattr(green, "_kpp_values", counted)
+        schedule = (125, 250, 500, 1000)
+        rec = kpp_witness(schedule)
+        assert rec.verdict == "nonnegative" and rec.extra["dominates_classical"] is True
+        assert sum(sites) <= sum(schedule) + 4
 
     def test_kpp_witness_without_domination_is_negative(self, monkeypatch):
         # the classical weight made equal to the improved one: no strict domination
