@@ -99,6 +99,8 @@ def green_entry(m: int, n: int, lam):
     """
     if m < 1 or n < 1:
         raise ValueError("indices are 1-based: m, n >= 1")
+    if m % 1 or n % 1:
+        raise ValueError("indices must be integers")
     is_real = not isinstance(lam, complex)
     xi, eta, gap_xi, gap_eta = _pair_with_gaps(lam)
     p, d = m + n, abs(m - n)

@@ -53,12 +53,16 @@ def check_count(value, name: str) -> None:
 
 
 def _check_indices(m, n) -> None:
-    """Reject indices unless 1 <= m, n and m + n < 2^52, below which float64 holds m + n."""
+    """Reject indices unless they are integers with 1 <= m, n and m + n < 2^52, below which
+    float64 holds m + n."""
     # count_nonzero takes Python and numpy scalars alike, without np.any's dispatch
     if np.count_nonzero(m < 1) or np.count_nonzero(n < 1):
         raise ValueError("indices are 1-based: m, n >= 1")
     if np.count_nonzero(m >= 2**52 - n):
         raise ValueError("indices need m + n < 2**52, the range float64 holds exactly")
+    # in range, so finite or nan; x % 1 is 0 exactly at the integers, nan at nan
+    if np.count_nonzero(m % 1) or np.count_nonzero(n % 1):
+        raise ValueError("indices must be integers")
 
 
 def _physical_memory() -> int:

@@ -37,23 +37,30 @@ _LOWRANK_TOL = 1e-15
 #: accepted a-posteriori error of the correction, in units of its cut
 _LOWRANK_ACCEPT = 10.0
 
-#: first and largest range-finder sample count, and the independent test
-#: columns of its error estimate
-_LOWRANK_SAMPLES = 32
-_LOWRANK_MAX_SAMPLES = 256
+#: independent Gaussian test columns of the correction's error estimate
 _LOWRANK_PROBES = 4
 
 #: |E - U U^T E| <= 10 sqrt(2/pi) max_i |(E - U U^T E) w_i| with probability
 #: 1 - 10^-probes (Halko, Martinsson and Tropp 2011, eq. 4.3)
 _HALKO_FACTOR = 10.0 * math.sqrt(2.0 / math.pi)
 
+#: trapezoid nodes u of the correction's integral over t = exp(-s) in (0, 1),
+#: s = exp(u), step 0.25 on [-32, ln 40] (:func:`_correction_columns`):
+#: below s = 1.3e-14 the integrand falls as s^(2 alpha + 2), above s = 40
+#: as t^(2L - alpha) <= exp(-s)
+_NODE_STEP = 0.25
+_NODES = np.arange(-32.0, math.log(40.0), _NODE_STEP)
+
+#: nodes whose rank-one term is bounded below this fraction of the cut are
+#: dropped: all of them together stay far below it
+_NODE_DROP = 1e-4
+
 #: cap on the safeguarded Newton steps of the secular root
 _ROOT_STEPS = 100
 
-#: float64 blocks of 3N by the first sample count that bound a low-rank
-#: probe's memory: at N = 10^5 it peaked 324 MB above the interpreter's
-#: (with 64 samples), against the 5 * 8 * 3N * 36 = 430 MB estimated
-_LOWRANK_COPIES = 5
+#: float64 arrays of N by the quadrature nodes alive at once during a
+#: low-rank probe: the node columns, their denominators and one temporary
+_LOWRANK_COPIES = 3
 
 #: float64 rows of N per band row alive during a banded probe: the band,
 #: its negation, the general band storage of the solves and LAPACK's copies
@@ -207,44 +214,104 @@ def _tau_coefficients(samples: np.ndarray) -> np.ndarray:
     return np.concatenate([half, half[size:1:-1]])
 
 
-def _lowrank_correction(apply, size: int, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(U, lam) with E ~ U diag(lam) U^T for the symmetric operator X -> apply(X).
+def _sine_columns(size: int, sites) -> np.ndarray:
+    """sin(k j pi/(N+1)) for k = 1..N down the rows and the integers j across.
 
-    A randomized range finder (Halko, Martinsson and Tropp 2011) from a
-    fixed seed.  The rank keeps the eigenvalues of the compression Q^T E Q
-    above tol, and the a-posteriori estimate of |E - U diag(lam) U^T|,
-    taken on independent test columns, must be within _LOWRANK_ACCEPT * tol.
-    The first basis is Q = qr(E Omega); only if its estimate fails is one
-    power step taken from the product E Q the compression already made,
-    re-orthonormalized by QR (an unscaled power step would lose everything
-    below sqrt(eps) * |E|).  If that fails too, the sample count doubles,
-    up to _LOWRANK_MAX_SAMPLES.  The rounding of the FFT product alone puts
-    the estimate at 1e-15 to 5e-15 times 4^alpha (measured for N from 400
-    to 20 000), so a bound of tol itself would never be met.
+    k j is reduced mod 2(N+1) first, so every angle is below 2 pi and each
+    sine is accurate to rounding however large k j is.
     """
-    rng = np.random.default_rng(0)
-    samples = _LOWRANK_SAMPLES
-    while True:
-        omega = rng.standard_normal((size, samples + _LOWRANK_PROBES))
-        sampled = apply(omega)
-        tests, images = omega[:, samples:], sampled[:, samples:]
-        image = sampled[:, :samples]
-        for _ in range(2):  # the first basis, then one power step
-            q = linalg.qr(image, mode="economic")[0]
-            image = apply(q)
-            compressed = q.T @ image
-            lam, vecs = linalg.eigh(0.5 * (compressed + compressed.T))
-            keep = abs(lam) > tol
-            u, lam = q @ vecs[:, keep], lam[keep]
-            misfit = images - u @ (lam[:, None] * (u.T @ tests))
-            estimate = _HALKO_FACTOR * float(
-                (np.linalg.norm(misfit, axis=0) / np.linalg.norm(tests, axis=0)).max()
-            )
-            if estimate <= _LOWRANK_ACCEPT * tol:
-                return u, lam
-        if samples >= _LOWRANK_MAX_SAMPLES:
-            return u, lam
-        samples *= 2
+    turns = np.multiply.outer(np.arange(1, size + 1), np.asarray(sites, dtype=np.int64))
+    return np.sin(turns % (2 * size + 2) * (math.pi / (size + 1)))
+
+
+def _correction_columns(alpha: float, size: int, e: np.ndarray, tol: float):
+    """(W, signs) with S E_N S = W diag(signs) W^T within tol, E_N = A_N - tau_N(f).
+
+    E_N has entries e[|m-n|] - e[m+n], e = c - b with b from
+    :func:`_tau_coefficients`.  b[j] is c[j] aliased with period P = 2N+2,
+    minus an alternating f(pi) term that cancels in e[|m-n|] - e[m+n], and
+    c[k] = -(sin pi alpha/pi) int_0^1 t^(k-alpha-1) (1-t)^(2 alpha) dt for
+    k > alpha.  Summing the aliases under the integral gives
+
+        E_mn = -(sin pi alpha/pi) int_0^1 t^(-alpha-1) (1-t)^(2 alpha)
+               / (1 - t^P) phi_m(t) phi_n(t) dt,
+
+    phi_m = t^(N+1-m) - t^(N+1+m), wherever (N+1-m) + (N+1-n) > alpha.
+    The last L - 1 sites, L = ceil((alpha+1)/2), break that or converge
+    slowly, so their rows and columns are taken from e exactly: each as
+    u x^T + x u^T (x the column with the border block halved, u the unit
+    vector), split into the balanced pair (u g +- x/g)/sqrt(2), g^2 = |x|,
+    of signs + and -.  On the interior sites 1..N+1-L the integral runs
+    over t = exp(-s), s = exp(u), by the trapezoid rule at the _NODES, and
+    each node contributes one column S phi in closed form, a truncated
+    Poisson kernel: with z = t e^(i theta_k),
+
+        (S phi)_k = -(-1)^k sqrt(2/(N+1)) Im[(z^L - t^(P+1-L) e^(i(1-L) theta_k))
+                                             / (1 - z)]
+                  = -(-1)^k sqrt(2/(N+1)) t^L [sin(L theta_k) (1 - t^(P+2-2L))
+                    - t sin((L-1) theta_k) (1 - t^(P-2L))] / |1 - z|^2,
+
+    the node's weight and t^L combined in logarithms, so that nothing
+    overflows or underflows at large alpha.  Nodes whose term is bounded below
+    _NODE_DROP * tol are dropped.  All nodes share the sign of
+    -sin(pi alpha), and eigh of their Gram matrix compresses them to the
+    directions whose eigenvalues exceed tol.
+    """
+    period = 2 * size + 2
+    border = min(math.ceil(0.5 * (alpha + 1.0)) - 1, size)
+    inner, lead = size - border, border + 1
+    nearest = round(alpha)  # sin(pi alpha) from the exact offset to the nearest integer
+    sinpi = math.sin(math.pi * (alpha - nearest)) * (-1.0 if nearest % 2 else 1.0)
+    columns, signs = [], []
+    if inner:
+        s = np.exp(_NODES)
+        log_gap = np.log(-np.expm1(-s))  # ln(1 - t)
+        log_weight = (math.log(_NODE_STEP * abs(sinpi) / math.pi) + _NODES + alpha * s
+                      + 2.0 * alpha * log_gap - np.log(-np.expm1(-period * s)))
+        # |phi|^2 <= min(1, P s)^2 t^(2L) min(N+1-L, 1/(1 - t^2))
+        bound = (log_weight + 2.0 * np.log(np.minimum(1.0, period * s)) - 2.0 * lead * s
+                 + np.log(np.minimum(inner, -1.0 / np.expm1(-2.0 * s))))
+        keep = bound > math.log(_NODE_DROP * tol)
+        s, log_gap = s[keep], log_gap[keep]
+        scale = np.exp(0.5 * (log_weight[keep] + math.log(2.0 / (size + 1))) - lead * s)
+        sines = _sine_columns(size, [lead, lead - 1])
+        sines[1::2] *= -1.0  # -(-1)^k
+        w = np.multiply.outer(sines[:, 0], -scale * np.expm1(-(period + 2 - 2 * lead) * s))
+        if lead > 1:
+            w -= np.multiply.outer(sines[:, 1], -scale * np.exp(-s) * np.expm1(-(period - 2 * lead) * s))
+        # |1 - z|^2 = (1 - t)^2 + 4 t sin^2(theta_k/2), free of cancellation
+        half_angles = np.arange(1, size + 1) * (0.5 * math.pi / (size + 1))
+        denominator = np.multiply.outer(4.0 * np.sin(half_angles) ** 2, np.exp(-s))
+        denominator += np.exp(2.0 * log_gap)
+        w /= denominator
+        del denominator  # one N x nodes array fewer while the Gram matrix is formed
+        lam, vecs = linalg.eigh(w.T @ w)
+        w = w @ vecs[:, lam > tol]
+        columns.append(w)
+        signs.append(np.full(w.shape[1], -math.copysign(1.0, sinpi)))
+    if border:
+        sites = np.arange(inner + 1, size + 1)
+        rows = np.arange(1, size + 1)[:, None]
+        x = e[abs(rows - sites)] - e[rows + sites]
+        x[inner:] *= 0.5
+        g = np.sqrt(np.linalg.norm(x, axis=0))
+        unit = math.sqrt(2.0 / (size + 1)) * g * _sine_columns(size, sites)
+        image = _dst(x) / g
+        columns += [(unit + image) * math.sqrt(0.5), (unit - image) * math.sqrt(0.5)]
+        signs += [np.ones(border), -np.ones(border)]
+    return np.hstack(columns), np.concatenate(signs)
+
+
+def _correction_estimate(e: np.ndarray, w: np.ndarray, signs: np.ndarray) -> float:
+    """Halko's a-posteriori estimate of |E_N - S W diag(signs) W^T S| on seeded test columns.
+
+    E_N X is one FFT section product of e; the model is applied through
+    two sine transforms.
+    """
+    tests = np.random.default_rng(0).standard_normal((w.shape[0], _LOWRANK_PROBES))
+    model = _dst(w @ (signs[:, None] * (w.T @ _dst(tests))))
+    misfit = operators.section_product(e)(tests) - model
+    return _HALKO_FACTOR * float((np.linalg.norm(misfit, axis=0) / np.linalg.norm(tests, axis=0)).max())
 
 
 def _model_min_eigenpair(d, w, signs, bound) -> tuple[float, np.ndarray]:
@@ -338,39 +405,52 @@ def _section_matvec(
 
 def _probe_tau_lowrank(
     alpha: float, size: int, values: np.ndarray, reflected: bool, bound: float
-) -> tuple[float, np.ndarray, np.ndarray, int]:
-    """Smallest eigenpair of a non-integer section minus a finitely supported V.
+) -> tuple[float, np.ndarray, np.ndarray, int] | None:
+    """Smallest eigenpair of a non-integer section minus a finitely supported V, or None.
 
     The section A_N is tau_N(f) + E_N: tau_N(f) = S diag(f(theta_k)) S with
     S the DST-I, theta_k = k pi/(N+1) and f = (4 sin^2(theta/2))^alpha (the
-    tau algebra of Bini and Capovani), and E_N of numerical rank 15 to 32
-    whatever N.  tau_N(f) is Toeplitz-minus-Hankel too
-    (:func:`_tau_coefficients`), so E_N X is one FFT section product and no
-    N x N array is formed.  In the DST basis the section minus V becomes
-    D + W diag(signs) W^T, with W = S [U |lam|^1/2, sqrt(V_s) e_s].  The
-    eigenvalue is a secular root of that model, the eigenvector comes from
-    Woodbury inverse iteration in it, and (B - V) v is taken through the
-    true section, so truncation error shows in the residual.  The reflected
-    section is tau_N(4^alpha - f) - E_N.  Returns lam, v, (B - V) v and U's rank.
+    tau algebra of Bini and Capovani), and E_N a quadrature of one Beta
+    integral plus the exact rows of the last sites
+    (:func:`_correction_columns`), of rank 12 to 40 (measured for N from 50
+    to 16 000 and alpha up to 40.5).  In the DST basis the section minus V
+    becomes D + W diag(signs) W^T, with W the correction's columns and
+    sqrt(V_s) S e_s.  The correction is accepted
+    when Halko's estimate on _LOWRANK_PROBES seeded columns
+    (:func:`_correction_estimate`) is within _LOWRANK_ACCEPT * tol,
+    tol = _LOWRANK_TOL * 4^alpha: the rounding of the FFT product alone
+    puts that estimate at 1e-15 to 5e-15 times 4^alpha, so a bound of tol
+    itself would never be met.  Otherwise None, and the caller solves the
+    section dense.  A secular root of the model is the shift of Woodbury
+    inverse iteration in it, which gives the eigenvector v.  (B - V) v is
+    taken through the true section, and the eigenvalue is the Rayleigh
+    quotient v.(B - V) v, as on the shift-invert path: the model's
+    truncation and the root's stopping rule, each a few rounding units of
+    4^alpha + max V, enter it only to second order, and show in the
+    residual.  The reflected section is tau_N(4^alpha - f) - E_N.  Returns
+    lam, v, (B - V) v and the correction's rank.
     """
     scale = 4.0**alpha
+    tol = _LOWRANK_TOL * scale
     coeffs = operators.section_coefficients(alpha, size)
     theta = np.arange(1, size + 1) * (math.pi / (size + 1))
     f = (2.0 * np.sin(0.5 * theta)) ** (2.0 * alpha)
-    correction = operators.section_product(coeffs - _tau_coefficients(f))
-    u, lam = _lowrank_correction(correction, size, _LOWRANK_TOL * scale)
+    e = coeffs - _tau_coefficients(f)
+    correction, signs = _correction_columns(alpha, size, e, tol)
+    if not _correction_estimate(e, correction, signs) <= _LOWRANK_ACCEPT * tol:  # nan fails too
+        return None
+    rank = signs.size
     sites = np.flatnonzero(values)
-    spikes = np.zeros((size, sites.size))
-    spikes[sites, np.arange(sites.size)] = np.sqrt(values[sites])
-    w = _dst(np.hstack([u * np.sqrt(abs(lam)), spikes]))
-    signs = np.concatenate([np.sign(lam), -np.ones(sites.size)])
+    spikes = math.sqrt(2.0 / (size + 1)) * np.sqrt(values[sites]) * _sine_columns(size, sites + 1)
+    w = np.hstack([correction, spikes])
+    signs = np.concatenate([signs, -np.ones(sites.size)])
     d = f
     if reflected:
-        d, signs[: lam.size] = scale - f, -signs[: lam.size]
+        d, signs[:rank] = scale - f, -signs[:rank]
 
-    lam_min, x = _model_min_eigenpair(d, w, signs, bound)
-    v = _dst(x)
-    return lam_min, v, _section_matvec(alpha, coeffs, values, reflected, v), lam.size
+    v = _dst(_model_min_eigenpair(d, w, signs, bound)[1])
+    bv = _section_matvec(alpha, coeffs, values, reflected, v)
+    return float(v @ bv), v, bv, rank
 
 
 def _dense_section(alpha: float, size: int, values: np.ndarray, reflected: bool) -> np.ndarray:
@@ -490,14 +570,14 @@ def _section_probe(
         )
     elif structured:  # the cheaper of its two paths
         operators.check_memory(
-            _LOWRANK_COPIES * 8 * 3 * size * (_LOWRANK_SAMPLES + _LOWRANK_PROBES),
-            f"a low-rank probe of a {size}-site section",
+            _LOWRANK_COPIES * 8 * size * _NODES.size, f"a low-rank probe of a {size}-site section"
         )
     values = pot.values(size)
     with np.errstate(over="ignore"):
         bound = float(np.power(4.0, alpha) + values.max(initial=0.0))
     if not math.isfinite(bound):  # an inf V_n, or 4^alpha beyond float64
         raise ValueError(f"4^alpha + max V_n overflows float64 (alpha={alpha!r}, {pot.describe()})")
+    sparse = np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT
     rank = 0
     if banded:
         ab = operators.assemble_band(alpha, size)
@@ -506,12 +586,12 @@ def _section_probe(
             ab[0] += 4.0**alpha
         ab[0] -= values
         solver, (lam, v, bv) = "band", _probe_band(ab, bound)
-    elif structured and np.count_nonzero(values) <= _LOWRANK_MAX_SUPPORT:
+    elif structured and sparse and (solved := _probe_tau_lowrank(alpha, size, values, reflected, bound)):
         solver = "tau_lowrank"
-        lam, v, bv, rank = _probe_tau_lowrank(alpha, size, values, reflected, bound)
+        lam, v, bv, rank = solved
     else:
         operators.check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
-        solved = _probe_shift_invert(alpha, size, values, reflected) if structured else None
+        solved = _probe_shift_invert(alpha, size, values, reflected) if structured and not sparse else None
         solver = "dense" if solved is None else "shift_invert"
         lam, v, bv = solved or _probe_dense(_dense_section(alpha, size, values, reflected))
     with np.errstate(over="ignore"):  # a residual beyond float64 is inf: not converged

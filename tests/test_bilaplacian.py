@@ -145,6 +145,10 @@ class TestGreenEntry:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             green_entry(0, 1, -1.0)
+        for m, n in ((1.5, 2), (2, 2.5), (float("nan"), 1), (1, float("inf"))):
+            with pytest.raises(ValueError, match="integers"):
+                green_entry(m, n, -1.0)
+        assert green_entry(2.0, 3.0, -1.0) == green_entry(2, 3, -1.0)
 
 
 def _bound_state_reference(site: int, c: float) -> float:

@@ -737,6 +737,7 @@ class TestExitCodes:
             ("matrix", "--alpha", "0.5", "--N", "1000000"),
             # a series longer than its 2^30-term cap, refused before it is summed
             ("hardy-check", "--alpha", "0.75", "--potential", "power:0.01:2", "--tail-terms", "100000000000"),
+            ("hardy-check", "--alpha", "0.75", "--potential", "delta:1:0.5", "--tail-terms", "2000000000"),
             # m + n beyond 2^52, where float64 stops holding indices exactly
             ("green", "--alpha", "0.75", "--m", "100000000000000000000", "--n", "1", "--lam", "-1"),
             ("entry", "--alpha", "-0.5", "--m", "100000000000000000000", "--n", "1"),

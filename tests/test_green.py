@@ -110,6 +110,14 @@ class TestWeightSequence:
             assert g_weight(alpha, grid[1]).tolist() == [g_weight(alpha, n) for n in grid[1].tolist()]
         assert g_weight(0.75, np.array([[1, 2], [3, 4]])).shape == (2, 2)
 
+    def test_refuses_non_integer_sites(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in (1.5, float("nan"), float("inf"), np.array([1.0, 2.5]), np.array([2.0, np.inf])):
+                with pytest.raises(ValueError, match="integer"):
+                    g_weight(0.75, n)
+        assert g_weight(0.75, 3.0) == g_weight(0.75, 3)
+
     def test_half_power_at_huge_index(self):
         # the odd harmonic sum of 2 * 10^18 terms, through the digamma function
         n = 10**18
@@ -534,6 +542,22 @@ class TestSeriesSum:
             assert _same(res.partial_sum, math.fsum((g_weight(alpha, n) * pot.at(n)).tolist()))
             assert _same(res.tail_bound, 0.0 if pot.finitely_supported and size <= terms else math.inf)
 
+    def test_zero_power_weighs_no_site(self, monkeypatch):
+        # V_n = 0 n^-p is 0 at every site, as Potential.zero()'s is
+        sites = []
+
+        def counted(alpha, n):
+            sites.append(np.size(n))
+            return g_weight(alpha, n)
+
+        monkeypatch.setattr(green, "g_weight", counted)
+        for alpha in (0.25, 0.5, 0.75, 1.0, 1.25):
+            for p in (-3.0, 0.5, 2.0):
+                for terms in (1, 100_000):
+                    partial, tail = _series_parts(alpha, Potential.power(0.0, p), terms)
+                    assert _same(partial, 0.0) and _same(tail, 0.0)
+        assert sites == []
+
     def test_explicit_series_weighs_only_its_data(self, monkeypatch):
         sites = []
 
@@ -549,8 +573,9 @@ class TestSeriesSum:
                 assert sum(sites) <= min(terms, len(pot.data))
 
     def test_refuses_too_long_a_series(self):
-        with pytest.raises(ValueError, match="at most"):
-            _series_parts(0.75, Potential.kpp(), _MAX_TERMS + 1)
+        for pot in (Potential.kpp(), Potential.delta(1, 0.5), Potential.power(0.0, 2.0)):
+            with pytest.raises(ValueError, match="at most"):
+                _series_parts(0.75, pot, _MAX_TERMS + 1)
 
     def test_refuses_terms_beyond_float64(self):
         with warnings.catch_warnings():

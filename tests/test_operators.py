@@ -192,6 +192,7 @@ class TestFractionalEntries:
 
     ONE_BASED = "indices are 1-based: m, n >= 1"
     EXACT = "indices need m + n < 2**52, the range float64 holds exactly"
+    INTEGER = "indices must be integers"
 
     @pytest.mark.parametrize(
         "m, n, message",
@@ -208,6 +209,12 @@ class TestFractionalEntries:
             (2**52 - 1, 1, EXACT),
             (10**400, 1, EXACT),  # a Python int beyond int64, as entry gets it
             (1, np.array([1, 2**52]), EXACT),
+            (2.0, np.array([3.0, 2.0**51]), None),
+            (1.5, 2, INTEGER),
+            (2, 1.5, INTEGER),
+            (np.array([1.0, 2.5]), 1, INTEGER),
+            (float("nan"), 1, INTEGER),
+            (1, float("inf"), EXACT),
         ],
     )
     def test_index_checks_accept_and_reject(self, m, n, message):

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -224,8 +225,40 @@ class TestTauLowrankPath:
         assert len(calls) <= 10
         assert abs(res.min_eigenvalue - _dense_min(1.25, 500, pot)) <= 1e-14 * (1.0 + 4.0**1.25)
 
-    def test_power_step_only_on_demand(self, monkeypatch):
-        # samples + probes columns, a compression, the residual's one column
+    @pytest.mark.parametrize("size", [50, 150])
+    @pytest.mark.parametrize(
+        "alpha", [0.01, 0.25, 0.75, 0.999, 1.001, 1.5, 1.99, 2.01, 2.5, 3.3, 6.31]
+    )
+    def test_closed_form_matches_dense_correction(self, alpha, size):
+        # S E_N S = S A_N S - diag(f) formed dense with the sine matrix (its
+        # angles k j pi/(N+1) reduced mod 2 pi), against the quadrature's
+        # columns and the border's exact rows
+        k = np.arange(1, size + 1)
+        theta = k * (math.pi / (size + 1))
+        f = (2.0 * np.sin(0.5 * theta)) ** (2.0 * alpha)
+        turns = np.outer(k, k) % (2 * size + 2)
+        sine = math.sqrt(2.0 / (size + 1)) * np.sin(turns * (math.pi / (size + 1)))
+        dense = sine @ operators.assemble(alpha, size) @ sine - np.diag(f)
+        e = operators.section_coefficients(alpha, size) - probes._tau_coefficients(f)
+        tol = probes._LOWRANK_TOL * 4.0**alpha
+        w, signs = probes._correction_columns(alpha, size, e, tol)
+        assert 0 < signs.size < 50 and set(signs.tolist()) <= {-1.0, 1.0}
+        assert np.linalg.norm(dense - (w * signs) @ w.T, 2) <= probes._LOWRANK_ACCEPT * tol
+        assert probes._correction_estimate(e, w, signs) <= probes._LOWRANK_ACCEPT * tol
+
+    @pytest.mark.parametrize("alpha, size", [(0.25, 500), (0.25, 1000), (0.75, 1000)])
+    def test_deep_well_within_rounding_of_eigh(self, alpha, size):
+        # c = 3 outweighs 4^alpha: the secular root, stopped within a few
+        # rounding units of 4^alpha + c, was up to 4.2 units of
+        # 4 eps (1 + 4^alpha) off; the Rayleigh quotient against the true
+        # section is not
+        pot = green.Potential.delta(1, 3.0)
+        res = min_eig(alpha, size, pot)
+        assert res.solver == "tau_lowrank"
+        budget = 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+        assert abs(res.min_eigenvalue - _dense_min(alpha, size, pot)) <= budget
+
+    def test_probe_takes_one_product_per_test_column_and_the_residual(self, monkeypatch):
         widths = []
         section_product = operators.section_product
 
@@ -239,55 +272,29 @@ class TestTauLowrankPath:
             return apply
 
         monkeypatch.setattr(operators, "section_product", counted)
-        min_eig(1.5, 1000, green.Potential.delta(1, 0.05))
-        samples, tests = probes._LOWRANK_SAMPLES, probes._LOWRANK_PROBES
-        assert sum(widths) == (samples + tests) + samples + 1 == 69
+        assert min_eig(1.5, 1000, green.Potential.delta(1, 0.05)).solver == "tau_lowrank"
+        assert sum(widths) == probes._LOWRANK_PROBES + 1
 
-    @pytest.mark.parametrize("alpha, size", [(0.25, 400), (1.25, 1000), (1.75, 500), (3.3, 1000)])
-    def test_correction_meets_its_estimate(self, monkeypatch, alpha, size):
-        # the returned correction passes the Halko test on the columns the
-        # range finder drew, unless it stopped at the largest sample count
-        samplings, returned = [], []
-        lowrank_correction = probes._lowrank_correction
-
-        def recorded(apply, size, tol):
-            def tracked(x):
-                image = apply(x)
-                if x.shape[1] % probes._LOWRANK_SAMPLES:  # samples + probes columns
-                    samplings.append((x, image))
-                return image
-
-            returned.append((tol, *lowrank_correction(tracked, size, tol)))
-            return returned[-1][1:]
-
-        monkeypatch.setattr(probes, "_lowrank_correction", recorded)
-        assert min_eig(alpha, size, green.Potential.delta(1, 0.1)).solver == "tau_lowrank"
-        ((tol, u, lam),) = returned
-        omega, sampled = samplings[-1]
-        samples = omega.shape[1] - probes._LOWRANK_PROBES
-        tests, images = omega[:, samples:], sampled[:, samples:]
-        misfit = images - u @ (lam[:, None] * (u.T @ tests))
-        estimate = probes._HALKO_FACTOR * (
-            np.linalg.norm(misfit, axis=0) / np.linalg.norm(tests, axis=0)
-        ).max()
-        assert estimate <= probes._LOWRANK_ACCEPT * tol or samples == probes._LOWRANK_MAX_SAMPLES
-
-    def test_range_finder_stops_at_largest_sample_count(self, monkeypatch):
-        # an estimate that never passes: each round compresses, takes its
-        # power step and compresses again, then the sample count doubles
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_failed_estimate_falls_back_to_eigh(self, monkeypatch, reflected):
+        alpha, size, pot = 1.25, probes.TAU_LOWRANK_MIN_SIZE, green.Potential.delta(2, 0.3)
         monkeypatch.setattr(probes, "_LOWRANK_ACCEPT", 0.0)
-        monkeypatch.setattr(probes, "_LOWRANK_MAX_SAMPLES", 2 * probes._LOWRANK_SAMPLES)
-        widths = []
-        product = operators.section_product(operators.section_coefficients(0.75, 400))
+        res = probes._section_probe(alpha, size, pot, "", reflected)
+        assert res.solver == "dense" and res.rank == 0 and res.converged
+        section = probes._dense_section(alpha, size, pot.values(size), reflected)
+        assert res.min_eigenvalue == probes._probe_dense(section)[0]
 
-        def apply(x):
-            widths.append(x.shape[1])
-            return product(x)
-
-        u, lam = probes._lowrank_correction(apply, 400, 1e-15)
-        samples, tests = probes._LOWRANK_SAMPLES, probes._LOWRANK_PROBES
-        assert widths == [samples + tests, samples, samples, 2 * samples + tests, 2 * samples, 2 * samples]
-        assert u.shape == (400, lam.size)
+    def test_large_alpha_raises_no_warning(self):
+        # 4^alpha ~ 2e24 and a border of 20 sites: t^(-alpha) and t^L are
+        # combined in logarithms, so nothing overflows or underflows to log(0)
+        alpha, size, pot = 40.5, probes.TAU_LOWRANK_MIN_SIZE, green.Potential.delta(3, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for reflected in (False, True):
+                res = probes._section_probe(alpha, size, pot, "", reflected)
+                assert res.solver == "tau_lowrank" and res.converged
+                exact = _dense_min(alpha, size, pot, reflected)
+                assert abs(res.min_eigenvalue - exact) <= 1e-14 * (1.0 + 4.0**alpha)
 
     def test_dispatch(self):
         above, below = probes.TAU_LOWRANK_MIN_SIZE, probes.TAU_LOWRANK_MIN_SIZE - 1
