@@ -3,9 +3,8 @@
 Every library operation is a subcommand with flag-only configuration, so
 each run is self-describing and, for a fixed BLAS thread count,
 byte-for-byte reproducible.  Non-integer-power probes, dense and low-rank
-alike, depend on the thread count: their printed eigenvalues,
-extrapolations and residuals differ in trailing digits between one and two
-OpenBLAS threads.
+alike, depend on the thread count: their printed eigenvalues and
+residuals differ in trailing digits between one and two OpenBLAS threads.
 Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 Only this module turns results into text: CSV is quoted by the csv module,
 CSV and plain text print --digits significant digits, JSON full floats.
@@ -283,10 +282,9 @@ def _records_out(records, fmt: str, digits: int) -> str:
     if fmt != "csv":
         payload = [rec.to_dict() for rec in records]
         return json.dumps(payload[0] if len(payload) == 1 else payload, indent=2)
-    header = ("alpha", "potential", "N", "min_eig", "residual", "extrapolated", "error_bar", "verdict")
+    header = ("alpha", "potential", "N", "min_eig", "residual", "verdict")
     rows = (
-        (rec.alpha, rec.potential, r.size, r.min_eigenvalue, r.residual,
-         rec.series.extrapolated, rec.series.error_bar, rec.verdict)
+        (rec.alpha, rec.potential, r.size, r.min_eigenvalue, r.residual, rec.verdict)
         for rec in records
         for r in rec.schedule
     )

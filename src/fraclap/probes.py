@@ -1,10 +1,12 @@
 """Finite-section spectral experiments.
 
-Smallest eigenvalues of truncations of A(alpha) - V, convergence series
-over a growing section schedule with geometric extrapolation, and the
-numerical witnesses of the criticality dichotomy at alpha = 3/2, of the
-explicit Hardy weights, of the reflected operator's subcriticality, and
-of the squared-Laplacian bound-state convergence.
+Smallest eigenvalues of truncations of A(alpha) - V along a growing
+section schedule, each an upper bound on the bottom of the spectrum by
+min-max, and the numerical witnesses of the criticality dichotomy at
+alpha = 3/2 (with the Birman-Schwinger root), of the explicit Hardy
+weights, of the reflected operator's subcriticality and of the KPP
+weight.  A witness records its sections and verdict, no limit guessed
+from them.
 """
 
 from __future__ import annotations
@@ -87,8 +89,10 @@ _LANCZOS_TOL = 4.0 * np.finfo(float).eps
 #: rounding noise of a dense eigendecomposition (relative to the norm scale)
 _EIG_RESOLUTION = 1e-12
 
-#: lower end of the Birman-Schwinger search, as log10(-lambda)
+#: ends of the Birman-Schwinger search, as log10(-lambda); 10^t stays finite
+#: up to the upper one
 _BS_LOG_FLOOR = -300.0
+_BS_LOG_CEIL = math.nextafter(math.log10(np.finfo(float).max), 0.0)
 
 #: banded solves of the inverse iteration behind each integer-power probe
 _INVERSE_STEPS = 2
@@ -111,38 +115,6 @@ class ProbeResult:
     solver: str = "dense"
     #: rank of the low-rank correction on the tau_lowrank path, else 0
     rank: int = 0
-
-
-@dataclass(frozen=True)
-class ConvergenceSeries:
-    """Eigenvalues along a section schedule with a geometric extrapolation.
-
-    The extrapolated limit assumes e_N ~ L + A*rho^k along the schedule and
-    is reported with a heuristic error bar, never as a certified value.
-    monotone says whether the eigenvalues fall along the schedule, as
-    Cauchy interlacing has them do.  All three are printed and no verdict
-    reads them.
-    """
-
-    extrapolated: float
-    error_bar: float
-    monotone: bool
-
-    @classmethod
-    def from_points(cls, points) -> "ConvergenceSeries":
-        vals = [float(e) for _, e in points]
-        tol = 1e-12 * (1.0 + max(abs(v) for v in vals))
-        monotone = all(b <= a + tol for a, b in zip(vals, vals[1:]))
-        if len(vals) < 3:
-            return cls(vals[-1], abs(vals[-1] - vals[0]) if len(vals) > 1 else 0.0, monotone)
-        e1, e2, e3 = vals[-3:]
-        d1, d2 = e2 - e1, e3 - e2
-        if abs(d1) < 1e-300 or abs(d2) >= abs(d1):
-            # already flat, or not contracting: take the last value as is
-            return cls(e3, abs(d2), monotone)
-        rho = d2 / d1
-        limit = e3 + d2 * rho / (1.0 - rho)
-        return cls(limit, abs(limit - e3) + 1e-2 * abs(d2), monotone)
 
 
 def _probe_dense(mat: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -421,15 +393,19 @@ def _probe_tau_lowrank(
     tol = _LOWRANK_TOL * 4^alpha: the rounding of the FFT product alone
     puts that estimate at 1e-15 to 5e-15 times 4^alpha, so a bound of tol
     itself would never be met.  Otherwise None, and the caller solves the
-    section dense.  A secular root of the model is the shift of Woodbury
-    inverse iteration in it, which gives the eigenvector v.  (B - V) v is
-    taken through the true section, and the eigenvalue is the Rayleigh
-    quotient v.(B - V) v, as on the shift-invert path: the model's
-    truncation and the root's stopping rule, each a few rounding units of
-    4^alpha + max V, enter it only to second order, and show in the
-    residual.  The reflected section is tau_N(4^alpha - f) - E_N.  Returns
-    lam, v, (B - V) v and the correction's rank.
+    section dense; None also where the model leaves float64, as it does at
+    couplings next to the largest float.  A secular root of the model is
+    the shift of Woodbury inverse iteration in it, which gives the
+    eigenvector v.  (B - V) v is taken through the true section, and the
+    eigenvalue is the Rayleigh quotient v.(B - V) v, as on the
+    shift-invert path: the model's truncation and the root's stopping
+    rule, each a few rounding units of 4^alpha + max V, enter it only to
+    second order, and show in the residual.  The reflected section is
+    tau_N(4^alpha - f) - E_N.  Returns lam, v, (B - V) v and the
+    correction's rank.
     """
+    if bound * np.finfo(float).tiny >= 1.0:  # (D - s)^-1, s near -bound, would be subnormal
+        return None
     scale = 4.0**alpha
     tol = _LOWRANK_TOL * scale
     coeffs = operators.section_coefficients(alpha, size)
@@ -447,8 +423,11 @@ def _probe_tau_lowrank(
     d = f
     if reflected:
         d, signs[:rank] = scale - f, -signs[:rank]
-
-    v = _dst(_model_min_eigenpair(d, w, signs, bound)[1])
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            v = _dst(_model_min_eigenpair(d, w, signs, bound)[1])
+        except FloatingPointError:  # a solve of the near-singular secular matrix overflowed
+            return None
     bv = _section_matvec(alpha, coeffs, values, reflected, v)
     return float(v @ bv), v, bv, rank
 
@@ -623,6 +602,8 @@ def solve_bs_lambda(alpha: float, site: int, c: float) -> float | None:
     c * G_{site,site}(lam) = 1.  The search runs in log10(-lam) down to
     1e-300; returns None when no solution exists in that range (the
     perturbed operator stays non-negative, or the eigenvalue underflows).
+    It widens up to the largest float, and a root beyond it raises
+    ValueError.
     """
     from scipy.optimize import brentq
 
@@ -639,7 +620,9 @@ def solve_bs_lambda(alpha: float, site: int, c: float) -> float | None:
     if f(_BS_LOG_FLOOR) <= 0.0:
         return None
     while f(hi) >= 0.0:  # eigenvalue below -4^alpha: widen until bracketed
-        hi += 2.0
+        if hi == _BS_LOG_CEIL:
+            raise ValueError(f"the bound state of coupling c={c!r} lies beyond float64")
+        hi = min(hi + 2.0, _BS_LOG_CEIL)
     t = brentq(f, _BS_LOG_FLOOR, hi, xtol=1e-8)
     return -(10.0**t)
 
@@ -653,7 +636,6 @@ class ScanRecord:
     alpha: float
     potential: str
     schedule: tuple[ProbeResult, ...]
-    series: ConvergenceSeries
     verdict: str
     bs_lambda: float | None = None
     extra: dict = field(default_factory=dict)
@@ -666,9 +648,6 @@ class ScanRecord:
                 {"N": r.size, "min_eig": r.min_eigenvalue, "residual": r.residual}
                 for r in self.schedule
             ],
-            "extrapolated": self.series.extrapolated,
-            "error_bar": self.series.error_bar,
-            "monotone": self.series.monotone,
             "verdict": self.verdict,
             "bs_lambda": self.bs_lambda,
             **self.extra,
@@ -683,8 +662,7 @@ def criticality_scan(
 ) -> list[ScanRecord]:
     """Dichotomy probe: sections of A(alpha) - c*delta_site per coupling.
 
-    The verdict reads two certified facts, never the extrapolation.  A
-    rank-one coupling has a bound state exactly where the scalar
+    The verdict reads two certified facts.  A rank-one coupling has a bound state exactly where the scalar
     Birman-Schwinger equation c G(lambda) = 1 has a root: "negative" when
     it does, or "negative_beyond_resolution" when the root's magnitude is
     below eigensolver resolution (for alpha >= 3/2 with small c it can be
@@ -720,10 +698,9 @@ def _witness(alpha: float, pot, descriptor: str, schedule, reflected=False, **ex
     for n in schedule:
         operators.check_count(n, "size")
     results = tuple(_section_probe(alpha, n, pot, descriptor, reflected) for n in schedule)
-    series = ConvergenceSeries.from_points([(r.size, r.min_eigenvalue) for r in results])
     tol = probe_tol(alpha)
     verdict = "nonnegative" if all(r.min_eigenvalue >= -tol for r in results) else "negative"
-    return ScanRecord(alpha, descriptor, results, series, verdict, extra=extra)
+    return ScanRecord(alpha, descriptor, results, verdict, extra=extra)
 
 
 def hardy_witness(alpha: float, epsilon: float, schedule=DEFAULT_SCHEDULE) -> ScanRecord:

@@ -46,10 +46,8 @@ def test_05_criticality_dichotomy():
     details = []
     for alpha in (1.5, 1.75, 2.0):
         (rec,) = probes.criticality_scan(alpha, site, [c])
-        strictly = (
-            rec.verdict == "negative"
-            and rec.series.extrapolated < -rec.series.error_bar
-        )
+        tol = probes.probe_tol(alpha)
+        strictly = rec.verdict == "negative" and any(r.min_eigenvalue < -tol for r in rec.schedule)
         certified = rec.verdict == "negative_beyond_resolution" and rec.bs_lambda is not None
         details.append(f"a={alpha}:{rec.verdict}")
         if not (strictly or certified):

@@ -109,7 +109,7 @@ class TestDeterminism:
 
 
 class TestRecordedOutputs:
-    """Printed eigenvalues, extrapolations and verdicts of a fixed command set.
+    """Printed section eigenvalues and verdicts of a fixed command set.
 
     The literals were printed at one BLAS thread by the earlier solver,
     which took eigenvectors from eig_banded on a band copied out of a dense
@@ -130,13 +130,11 @@ class TestRecordedOutputs:
         assert code == 0
         rec = json.loads(out)
         eigs = [r["min_eig"] for r in rec["schedule"]]
-        return eigs, rec["extrapolated"], rec["error_bar"], rec["verdict"]
+        return eigs, rec["verdict"]
 
     def test_probe_kpp(self, capsys):
         assert self._record(capsys, "probe-kpp", "--schedule", "125,250,500") == (
             [0.0003642727703273008, 9.179517977025983e-05, 2.3040491890335968e-05],
-            -1.636105613061898e-07,
-            2.3891649330441397e-05,
             "nonnegative",
         )
 
@@ -144,8 +142,6 @@ class TestRecordedOutputs:
         argv = ("probe-critical", "--alpha", "2", "--c", "1", "--schedule", "50,100,200")
         assert self._record(capsys, *argv) == (
             [-0.05555555555555424, -0.0555555555555547, -0.0555555555555547],
-            -0.0555555555555547,
-            0.0,
             "negative",
         )
 
@@ -215,13 +211,13 @@ _FIXED_OUTPUTS = [
     ),
     (
         ("probe-critical", "--alpha", "1.5", "--c", "0.05", "--schedule", "50,100,200", "--format", "csv"),
-        "alpha,potential,N,min_eig,extrapolated,error_bar,verdict\n"
+        "alpha,potential,N,min_eig,verdict\n"
         '1.5,"delta(site=1, coeff=0.050000000000000003)",50,0.00031709563124828025,'
-        "-1.2849311524911263e-07,5.7166279692495839e-06,negative_beyond_resolution\n"
+        "negative_beyond_resolution\n"
         '1.5,"delta(site=1, coeff=0.050000000000000003)",100,4.1098523846623142e-05,'
-        "-1.2849311524911263e-07,5.7166279692495839e-06,negative_beyond_resolution\n"
+        "negative_beyond_resolution\n"
         '1.5,"delta(site=1, coeff=0.050000000000000003)",200,5.2294440560951921e-06,'
-        "-1.2849311524911263e-07,5.7166279692495839e-06,negative_beyond_resolution\n",
+        "negative_beyond_resolution\n",
     ),
     (("selftest",), _SELFTEST_TABLE),
     # the negative powers and an integer section, with its signed zero corner
@@ -628,6 +624,29 @@ class TestStructuredOutputs:
         assert lines[0].startswith("alpha,potential,N")
         assert len(lines) == 4
 
+    @pytest.mark.parametrize(
+        "argv, extras",
+        [
+            (("probe-critical", "--alpha", "1.5", "--c", "0.05"), []),
+            (("probe-hardy", "--alpha", "0.5", "--epsilon", "0.5"), []),
+            (("probe-reflected", "--alpha", "1.5", "--c", "0.5"), ["coupling_threshold"]),
+            (("probe-kpp",), ["dominates_classical", "ratio_to_classical"]),
+        ],
+        ids=["critical", "hardy", "reflected", "kpp"],
+    )
+    def test_scan_fields(self, capsys, argv, extras):
+        # a scan prints its sections, its verdict and the root or the
+        # witness's extras, and nothing derived from the sections
+        argv += ("--schedule", "20,40")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        rec = json.loads(out)
+        assert list(rec) == ["alpha", "potential", "schedule", "verdict", "bs_lambda", *extras]
+        assert [list(r) for r in rec["schedule"]] == [["N", "min_eig", "residual"]] * 2
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        assert out.split("\n", 1)[0] == "alpha,potential,N,min_eig,residual,verdict"
+
     def test_hardy_weight_values_table(self, capsys):
         code, out, _ = run_cli(
             capsys, "hardy-weight", "--alpha", "1", "--epsilon", "1",
@@ -642,8 +661,8 @@ class TestStructuredOutputs:
         "argv, width",
         [
             (("probe-min-eig", "--alpha", "1.5", "--N", "5", "--potential", "delta:1:0.5"), 2),
-            (("probe-critical", "--alpha", "1.5", "--c", "0.05,2", "--schedule", "20,40"), 8),
-            (("probe-hardy", "--alpha", "0.5", "--epsilon", "0.5", "--schedule", "20,40"), 8),
+            (("probe-critical", "--alpha", "1.5", "--c", "0.05,2", "--schedule", "20,40"), 6),
+            (("probe-hardy", "--alpha", "0.5", "--epsilon", "0.5", "--schedule", "20,40"), 6),
             (("matrix", "--alpha", "0.75", "--N", "5"), 5),
             (("gn", "--alpha", "0.75", "--n", "1:20:5"), 2),
             (("hardy-weight", "--alpha", "0.75", "--epsilon", "0.5", "--count", "4"), 2),
@@ -756,7 +775,6 @@ class TestExitCodes:
             ("hardy-check", "--alpha", "0.75", "--potential", f"delta:{HUGE}:0.5"),
             ("probe-min-eig", "--alpha", "2", "--N", "5", "--potential", f"delta:{HUGE}:0.5"),
             ("bilap-lambda", "--n", "1", "--c", "1e100", "--method", "small_c"),
-            ("probe-critical", "--alpha", "1.5", "--c", "1.7e308", "--schedule", "10"),
             # potentials whose V_n, or whose term g_n V_n, overflows float64
             ("hardy-check", "--alpha", "0.75", "--potential", "power:1e300:-400"),
             ("hardy-check", "--alpha", "0.75", "--potential", "explicit:1e308,1e308"),
@@ -779,6 +797,40 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # a solve of the low-rank model overflows, or its resolvent is
+            # subnormal: the section is solved dense
+            ("probe-min-eig", "--alpha", "0.75", "--N", "500", "--potential", "delta:1:1e307"),
+            ("probe-min-eig", "--alpha", "1.5", "--N", "500", "--potential", "explicit:1e300"),
+            ("probe-min-eig", "--alpha", "2.5", "--N", "500", "--potential", "delta:1:1e308"),
+            ("probe-min-eig", "--alpha", "0.75", "--N", "500", "--potential", "delta:1:1e308"),
+            # Birman-Schwinger roots next to the largest float
+            ("probe-critical", "--alpha", "0.75", "--c", "1e308", "--schedule", "5"),
+            ("probe-critical", "--alpha", "1.5", "--c", "1.7e308", "--schedule", "10"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_couplings_next_to_float_max(self, capsys, argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would reach stderr too
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        rec = json.loads(out)
+        alpha, c = float(argv[2]), float(argv[-1].split(":")[-1] if argv[0] == "probe-min-eig" else argv[4])
+        if argv[0] == "probe-min-eig":
+            assert rec["converged"] is True and rec["min_eig"] == pytest.approx(-c)
+        else:
+            assert rec["verdict"] == "negative"
+            green_diag = green.green_entry(alpha, 1, 1, rec["bs_lambda"], tol=1e-13, rel=1e-10)
+            assert abs(c * green_diag - 1.0) <= 1e-8
+
+    def test_bound_state_beyond_float64(self, capsys):
+        argv = ("probe-critical", "--alpha", "0.75", "--c", "1.7976931348623157e308", "--schedule", "5")
+        expected = "error: the bound state of coupling c=1.7976931348623157e+308 lies beyond float64\n"
+        assert run_cli(capsys, *argv) == (1, "", expected)
 
     @pytest.mark.parametrize(
         "argv, spec",

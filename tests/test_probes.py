@@ -1,7 +1,9 @@
-"""Finite-section probes: eigenvalue accuracy, extrapolation, verdicts."""
+"""Finite-section probes: eigenvalue accuracy, solver paths, verdicts."""
 
 import json
 import math
+import re
+import sys
 import tracemalloc
 import warnings
 
@@ -14,7 +16,6 @@ from scipy import linalg
 from fraclap import cli, green, operators, probes
 from fraclap.bilaplacian import lambda_site1_closed
 from fraclap.probes import (
-    ConvergenceSeries,
     criticality_scan,
     hardy_witness,
     kpp_witness,
@@ -284,6 +285,26 @@ class TestTauLowrankPath:
         section = probes._dense_section(alpha, size, pot.values(size), reflected)
         assert res.min_eigenvalue == probes._probe_dense(section)[0]
 
+    @pytest.mark.parametrize(
+        "alpha, pot",
+        [
+            (0.75, green.Potential.delta(1, 1e307)),
+            (1.5, green.Potential.explicit([1e300])),
+            (2.5, green.Potential.delta(1, 1e308)),
+            (0.75, green.Potential.delta(1, 1e308)),
+        ],
+        ids=["overflow-0.75", "overflow-1.5", "overflow-2.5", "subnormal-resolvent"],
+    )
+    def test_model_beyond_float64_falls_back_to_eigh(self, alpha, pot):
+        # a solve of the secular matrix overflows, or (D - s)^-1 is subnormal
+        size = 500
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = probes._section_probe(alpha, size, pot, "")
+        assert res.solver == "dense" and res.converged
+        section = probes._dense_section(alpha, size, pot.values(size), False)
+        assert res.min_eigenvalue == probes._probe_dense(section)[0]
+
     def test_large_alpha_raises_no_warning(self):
         # 4^alpha ~ 2e24 and a border of 20 sites: t^(-alpha) and t^L are
         # combined in logarithms, so nothing overflows or underflows to log(0)
@@ -422,33 +443,6 @@ class TestShiftInvertPath:
             assert json.loads(captured.out)["verdict"] == "nonnegative" and captured.err == ""
 
 
-class TestConvergenceSeries:
-    def test_geometric_extrapolation_exact(self):
-        limit, amp, rho = -0.125, 0.5, 0.4
-        pts = [(50 * 2**k, limit + amp * rho**k) for k in range(4)]
-        series = ConvergenceSeries.from_points(pts)
-        assert series.extrapolated == pytest.approx(limit, abs=1e-12)
-        assert series.error_bar >= abs(series.extrapolated - pts[-1][1])
-        assert series.monotone
-
-    def test_non_contracting_falls_back_to_last(self):
-        pts = [(10, 1.0), (20, 0.9), (40, 0.85), (80, 0.95)]
-        series = ConvergenceSeries.from_points(pts)
-        assert series.extrapolated == pytest.approx(0.95)
-        assert not series.monotone
-
-    def test_flat_series(self):
-        pts = [(10, 2.0), (20, 2.0), (40, 2.0)]
-        series = ConvergenceSeries.from_points(pts)
-        assert series.extrapolated == 2.0
-        assert series.monotone
-
-    def test_keeps_no_points(self):
-        # the scan record holds the sections; the series keeps only what it derives
-        series = ConvergenceSeries.from_points([(10, 2.0), (20, 1.5), (40, 1.25)])
-        assert not hasattr(series, "points")
-
-
 class TestBirmanSchwinger:
     def test_subcritical_small_coupling_has_no_bound_state(self):
         assert solve_bs_lambda(1.0, 1, 0.01) is None
@@ -473,6 +467,17 @@ class TestBirmanSchwinger:
         with pytest.raises(ValueError):
             solve_bs_lambda(1.0, 1, 0.0)
 
+    @pytest.mark.parametrize("c", [1e308, 1.7e308])
+    def test_bracket_stays_in_float64(self, c):
+        # the search widens up to log10 of the largest float, not past it
+        lam = solve_bs_lambda(0.75, 1, c)
+        assert abs(c * probes._green_diag(0.75, 1, lam) - 1.0) <= 1e-8
+
+    def test_root_beyond_float64_names_the_coupling(self):
+        c = sys.float_info.max
+        with pytest.raises(ValueError, match=re.escape(f"c={c!r}")):
+            solve_bs_lambda(0.75, 1, c)
+
     def test_non_integer_site_and_non_finite_coupling_refused(self):
         with pytest.raises(ValueError, match="integer >= 1"):
             solve_bs_lambda(1.5, 1.5, 0.1)
@@ -492,7 +497,7 @@ class TestScans:
         (rec,) = criticality_scan(2.0, 1, [1.0], schedule=SMALL_SCHEDULE)
         assert rec.verdict == "negative"
         assert rec.bs_lambda == pytest.approx(-1.0 / 18.0, rel=1e-6)
-        assert rec.series.extrapolated < 0.0
+        assert min(r.min_eigenvalue for r in rec.schedule) < -probe_tol(2.0)
 
     def test_critical_tiny_coupling_beyond_resolution(self):
         (rec,) = criticality_scan(1.5, 1, [0.01], schedule=SMALL_SCHEDULE)
@@ -519,17 +524,6 @@ class TestScans:
         ratios = rec.extra["ratio_to_classical"]
         assert all(r > 1.0 for r in ratios)
         assert ratios[0] > ratios[1] > ratios[2]  # decays toward 1
-
-    def test_extrapolation_decides_no_verdict(self, monkeypatch):
-        # a limit far below zero with no error bar: the sections and the root still decide
-        def below_zero(cls, points):
-            return cls(-1.0, 0.0, True)
-
-        monkeypatch.setattr(ConvergenceSeries, "from_points", classmethod(below_zero))
-        (rec,) = criticality_scan(1.0, 1, [0.01], schedule=SMALL_SCHEDULE)
-        assert rec.series.extrapolated == -1.0
-        assert rec.bs_lambda is None
-        assert rec.verdict == "nonnegative"
 
     @pytest.mark.parametrize(
         "scan",
