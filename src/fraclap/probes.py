@@ -24,11 +24,18 @@ from . import green, operators
 
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 
-#: smallest non-integer section given a structured solver: a sine transform
-#: plus a low-rank correction, or Cholesky shift-invert Lanczos where the
-#: potential has too many sites for that; below it the dense eigh is as
-#: fast (measured crossover)
+#: smallest non-integer section given the sine transform plus a low-rank
+#: correction, with a potential on at most _LOWRANK_MAX_SUPPORT sites;
+#: below it the dense eigh is as fast (measured crossover)
 TAU_LOWRANK_MIN_SIZE = 400
+
+#: smallest non-integer section given Cholesky shift-invert Lanczos, with a
+#: potential on more sites; below it the dense eigh is as fast (measured
+#: crossover of one section factored alone, Hardy weights at alpha in
+#: {0.25, 0.5, 1.25}: 0.8-1.9 ms against 1.2-1.9 ms for eigh at N = 200,
+#: 1.0-1.9 against 1.9-3.2 at N = 250, 0.5-1.3 against 0.3-0.5 at N = 65;
+#: best of 15, one OpenBLAS thread, 2-core Xeon)
+SHIFT_INVERT_MIN_SIZE = 200
 
 #: most potential sites folded into the low-rank correction
 _LOWRANK_MAX_SUPPORT = 64
@@ -71,9 +78,15 @@ _BAND_COPIES = 9
 
 #: N x N float64 arrays alive at once during a dense probe.  The eigh path
 #: holds the section and LAPACK's working copy of it.  The shift-invert
-#: path holds the section alone, factored in place, and holds two only
-#: when it falls back to eigh.  Both assemblers allocate one array each.
+#: path holds the section alone, factored in place, and a scan's smaller
+#: sections reuse that one array (:class:`_ScanFactor`), which is freed
+#: before any eigh.  Both assemblers allocate one array each.
 _DENSE_COPIES = 2
+
+#: factor columns moved per copy when a scan compacts a leading block
+#: (:func:`_leading_factor`): 0.17 ms for N = 1000 to 500 against 0.35 ms
+#: one column at a time, and 0.31 ms at 256 (2-core Xeon)
+_COMPACT_COLUMNS = 64
 
 #: cap on the Lanczos steps of a shift-invert probe; Hardy-weight sections
 #: took 9 to 21 steps and alpha down to 0.005 at most 35 (N up to 2000),
@@ -440,12 +453,40 @@ def _dense_section(alpha: float, size: int, values: np.ndarray, reflected: bool)
     return mat
 
 
-def _cholesky_inverse(mat: np.ndarray, shift: float):
-    """q -> (mat + shift*I)^-1 q for the symmetric mat, or None where it is not positive.
+def _cholesky_factor(mat: np.ndarray, shift: float) -> np.ndarray | None:
+    """Upper Cholesky factor U of mat + shift*I = U^T U in mat's own memory, or None.
 
-    mat + shift*I is Cholesky-factored in place as U^T U: mat.T is
-    Fortran-ordered, so LAPACK overwrites mat and makes no copy.  A failed
-    factorization means an eigenvalue below -shift, and gives None.
+    mat.T is Fortran-ordered, so LAPACK overwrites mat, makes no copy and
+    returns mat.T.  A failed factorization means an eigenvalue below
+    -shift, and gives None: its partial factor is never read.
+    """
+    mat[np.diag_indices(mat.shape[0])] += shift
+    try:
+        return linalg.cho_factor(mat.T, overwrite_a=True, check_finite=False)[0]
+    except linalg.LinAlgError:
+        return None
+
+
+def _leading_factor(factor: np.ndarray, size: int) -> np.ndarray:
+    """The leading size x size block of the Fortran-ordered factor, compacted in place.
+
+    Column j moves from offset j*N to j*size of the same memory, in
+    ascending j, so no column is overwritten before it has moved and no
+    second N x N array is formed.  The columns move _COMPACT_COLUMNS at a
+    time; numpy buffers a copy whose source and target overlap, so that
+    buffer holds at most that many columns.  The block stays
+    Fortran-contiguous.
+    """
+    columns = factor.T  # C-contiguous: row j is column j of the factor
+    block = columns.reshape(-1)[: size * size].reshape(size, size)
+    for j in range(0, size, _COMPACT_COLUMNS):
+        end = min(j + _COMPACT_COLUMNS, size)
+        block[j:end] = columns[j:end, :size]
+    return block.T
+
+
+def _cholesky_inverse(factor: np.ndarray):
+    """q -> (U^T U)^-1 q for the Fortran-ordered upper Cholesky factor U.
 
     The inverse is two level-2 BLAS triangular solves, U^T y = q and then
     U x = y (dtrsv).  cho_solve's dpotrs takes the level-3 dtrsm path for
@@ -453,65 +494,95 @@ def _cholesky_inverse(mat: np.ndarray, shift: float):
     (one OpenBLAS thread).  The factor must stay Fortran-contiguous: f2py
     would otherwise copy all N x N of it on every solve.
     """
-    mat[np.diag_indices(mat.shape[0])] += shift
-    try:
-        factor, _ = linalg.cho_factor(mat.T, overwrite_a=True, check_finite=False)
-    except linalg.LinAlgError:
-        return None
     trsv = linalg.get_blas_funcs("trsv", (factor,))
     return lambda q: trsv(factor, trsv(factor, q, trans=1), overwrite_x=1)
 
 
-def _shift_invert_vector(mat: np.ndarray, shift: float) -> np.ndarray | None:
-    """Unit vector for the smallest eigenvalue of the symmetric mat, or None.
+class _ScanFactor:
+    """Cholesky factors of B - V + probe_tol(alpha)*I for a scan's sections, largest first.
 
-    mat is overwritten by the Cholesky factor of mat + shift*I
-    (:func:`_cholesky_inverse`), and None means an eigenvalue below -shift.
-    Otherwise Lanczos with full reorthogonalization runs on the inverse,
-    one pair of triangular solves a step, from a fixed start.  The smallest
-    eigenvalue of mat is the largest of the inverse, and the spectral
-    transformation sets it apart from the rest (Ericsson and Ruhe, Math.
-    Comp. 35, 1980).  None also when no Ritz pair converges within
-    _LANCZOS_STEPS.
+    Entries c[|m-n|] - c[m+n] and V_n do not depend on N, so every section
+    is the leading principal block of each larger one, and its Cholesky
+    factor the leading block of theirs.  The largest shift-invert section
+    is factored once, in place; each smaller one compacts the leading
+    block of the same memory (:func:`_leading_factor`), so one N x N array
+    serves the whole scan.  Where no factor is held, or a smaller one, the
+    section is assembled and factored afresh: after a failed factorization
+    the next section factors its own, as a single probe does.
     """
-    size = mat.shape[0]
-    solve = _cholesky_inverse(mat, shift)
-    if solve is None:
-        return None
+
+    def __init__(self):
+        self._factor = None
+
+    def inverse(self, alpha: float, size: int, values: np.ndarray, reflected: bool):
+        """q -> (B - V + probe_tol(alpha)*I)^-1 q on the size x size section, or None.
+
+        None where that matrix is not positive definite.
+        """
+        if self._factor is not None and self._factor.shape[0] >= size:
+            self._factor = _leading_factor(self._factor, size)
+        else:
+            self._factor = None  # freed before the next section is assembled
+            self._factor = _cholesky_factor(_dense_section(alpha, size, values, reflected), probe_tol(alpha))
+        return None if self._factor is None else _cholesky_inverse(self._factor)
+
+    def release(self) -> None:
+        """Frees the held factor, before an eigh that needs the memory of two sections."""
+        self._factor = None
+
+
+def _shift_invert_vector(solve, size: int) -> np.ndarray | None:
+    """Unit vector for the smallest eigenvalue of a size x size section M, or None.
+
+    solve is q -> (M + shift*I)^-1 q, M + shift*I positive definite
+    (:meth:`_ScanFactor.inverse`).  Lanczos with full reorthogonalization
+    runs on that inverse, one pair of triangular solves a step, from a
+    fixed start.  The smallest eigenvalue of M is the largest of the
+    inverse, and the spectral transformation sets it apart from the rest
+    (Ericsson and Ruhe, Math. Comp. 35, 1980).  Each step's convergence
+    test is LAPACK's stevd on the tridiagonal matrix so far, bound once
+    and fed slices of two preallocated arrays: the driver
+    eigh_tridiagonal calls for the full spectrum, without its per-call
+    checks.  None when no Ritz pair converges within _LANCZOS_STEPS.
+    """
     basis = np.empty((_LANCZOS_STEPS, size))
+    diag, offdiag = np.zeros(_LANCZOS_STEPS), np.zeros(_LANCZOS_STEPS)
+    stevd = linalg.get_lapack_funcs("stevd", (diag,))
     q = np.random.default_rng(0).standard_normal(size)
     q /= np.linalg.norm(q)
-    diag, offdiag = [], []
     for step in range(_LANCZOS_STEPS):
         basis[step] = q
         krylov = basis[: step + 1]
         w = solve(q)
-        diag.append(float(q @ w))
+        diag[step] = q @ w
         for _ in range(2):  # Gram-Schmidt twice keeps the basis orthonormal
             w -= krylov.T @ (krylov @ w)
         beta = float(np.linalg.norm(w))
-        theta, s = linalg.eigh_tridiagonal(diag, offdiag)
+        theta, s, info = stevd(diag[: step + 1], offdiag[: max(step, 1)])  # e needs length >= 1
+        if info:
+            return None
         if beta * abs(s[-1, -1]) <= _LANCZOS_TOL * theta[-1]:
             v = krylov.T @ s[:, -1]
             return v / np.linalg.norm(v)
-        offdiag.append(beta)
+        offdiag[step] = beta
         q = w / beta
     return None
 
 
 def _probe_shift_invert(
-    alpha: float, size: int, values: np.ndarray, reflected: bool
+    alpha: float, size: int, values: np.ndarray, reflected: bool, factors: _ScanFactor
 ) -> tuple[float, np.ndarray, np.ndarray] | None:
     """(lam, v, (B - V) v) for a section of B - V by Cholesky shift-invert Lanczos, or None.
 
     The shift is probe_tol(alpha), so the factorization succeeds exactly
     when the section passes the non-negativity test, up to its backward
-    error.  The eigenvalue is the Rayleigh quotient of the Lanczos vector
-    against the true section through the FFT product, so one N x N array
-    is alive at a time.  None where the factorization fails or Lanczos
-    does not converge.
+    error; factors supplies it, shared along a scan.  The eigenvalue is
+    the Rayleigh quotient of the Lanczos vector against the true section
+    through the FFT product, so one N x N array is alive at a time.  None
+    where the factorization fails or Lanczos does not converge.
     """
-    v = _shift_invert_vector(_dense_section(alpha, size, values, reflected), probe_tol(alpha))
+    solve = factors.inverse(alpha, size, values, reflected)
+    v = None if solve is None else _shift_invert_vector(solve, size)
     if v is None:
         return None
     bv = _section_matvec(alpha, operators.section_coefficients(alpha, size), values, reflected, v)
@@ -519,7 +590,12 @@ def _probe_shift_invert(
 
 
 def _section_probe(
-    alpha: float, size: int, pot: green.Potential, descriptor: str, reflected: bool = False
+    alpha: float,
+    size: int,
+    pot: green.Potential,
+    descriptor: str,
+    reflected: bool = False,
+    factors: _ScanFactor | None = None,
 ) -> ProbeResult:
     """Smallest eigenpair of the size x size section of B - V.
 
@@ -528,12 +604,14 @@ def _section_probe(
 
     * banded (integer) powers are assembled and solved in band storage
       and never densified;
-    * other powers from size TAU_LOWRANK_MIN_SIZE go to
-      :func:`_probe_tau_lowrank` with a potential on at most
-      _LOWRANK_MAX_SUPPORT sites, and to :func:`_probe_shift_invert` with
-      more (power Hardy weights, power potentials);
-    * smaller sections, and those where shift-invert gives up, are solved
-      dense by eigh.
+    * other powers go to :func:`_probe_tau_lowrank` from size
+      TAU_LOWRANK_MIN_SIZE with a potential on at most
+      _LOWRANK_MAX_SUPPORT sites, and to :func:`_probe_shift_invert` from
+      size SHIFT_INVERT_MIN_SIZE with more (power Hardy weights, power
+      potentials), its Cholesky factor taken from factors, which a scan
+      shares between its sections (:class:`_ScanFactor`);
+    * smaller sections, and those where either path gives up, are solved
+      dense by eigh, after factors has freed any factor it holds.
 
     Each path's working set is checked against physical memory before it
     is formed, the potential's values included.  Each path returns lam, v
@@ -542,12 +620,12 @@ def _section_probe(
     0 <= A_N <= 4^alpha, plain or reflected, and V >= 0.
     """
     banded = operators.is_banded(alpha)
-    structured = not banded and size >= TAU_LOWRANK_MIN_SIZE
+    lowrank = not banded and size >= TAU_LOWRANK_MIN_SIZE
     if banded:
         operators.check_memory(
             _BAND_COPIES * 8 * size * (int(alpha) + 1), f"a banded {size}-site section"
         )
-    elif structured:  # the cheaper of its two paths
+    elif lowrank:  # the cheaper of its two paths
         operators.check_memory(
             _LOWRANK_COPIES * 8 * size * _NODES.size, f"a low-rank probe of a {size}-site section"
         )
@@ -565,12 +643,16 @@ def _section_probe(
             ab[0] += 4.0**alpha
         ab[0] -= values
         solver, (lam, v, bv) = "band", _probe_band(ab, bound)
-    elif structured and sparse and (solved := _probe_tau_lowrank(alpha, size, values, reflected, bound)):
+    elif lowrank and sparse and (solved := _probe_tau_lowrank(alpha, size, values, reflected, bound)):
         solver = "tau_lowrank"
         lam, v, bv, rank = solved
     else:
         operators.check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
-        solved = _probe_shift_invert(alpha, size, values, reflected) if structured and not sparse else None
+        factors = _ScanFactor() if factors is None else factors
+        shift_invert = not sparse and size >= SHIFT_INVERT_MIN_SIZE
+        solved = _probe_shift_invert(alpha, size, values, reflected, factors) if shift_invert else None
+        if solved is None:
+            factors.release()
         solver = "dense" if solved is None else "shift_invert"
         lam, v, bv = solved or _probe_dense(_dense_section(alpha, size, values, reflected))
     with np.errstate(over="ignore"):  # a residual beyond float64 is inf: not converged
@@ -688,16 +770,24 @@ def criticality_scan(
 def _witness(alpha: float, pot, descriptor: str, schedule, reflected=False, **extra) -> ScanRecord:
     """Sections of B - V along a non-empty schedule, with min_eig's checks of alpha and sizes.
 
-    The verdict is "nonnegative" when every section's smallest eigenvalue
-    is at least -probe_tol(alpha), else "negative"; extra goes into the
-    record as it is.
+    Each distinct size is probed once, largest first, so that the smaller
+    shift-invert sections reuse the largest one's Cholesky factor
+    (:class:`_ScanFactor`); the records keep the schedule's order and
+    repeats.  The verdict is "nonnegative" when every section's smallest
+    eigenvalue is at least -probe_tol(alpha), else "negative"; extra goes
+    into the record as it is.
     """
     operators.check_positive_power(alpha)
     if len(schedule) == 0:
         raise ValueError("the schedule needs at least one section size")
     for n in schedule:
         operators.check_count(n, "size")
-    results = tuple(_section_probe(alpha, n, pot, descriptor, reflected) for n in schedule)
+    factors = _ScanFactor()
+    probed = {
+        n: _section_probe(alpha, n, pot, descriptor, reflected, factors)
+        for n in sorted(set(schedule), reverse=True)
+    }
+    results = tuple(probed[n] for n in schedule)
     tol = probe_tol(alpha)
     verdict = "nonnegative" if all(r.min_eigenvalue >= -tol for r in results) else "negative"
     return ScanRecord(alpha, descriptor, results, verdict, extra=extra)

@@ -244,6 +244,22 @@ _FIXED_OUTPUTS = [
     (("gn", "--alpha", "0.75", "--n", "9,8,1"), "9 11.553200516532723\n8 10.83542239155965\n1 3.2000000000000011\n"),
     # c[0] from the Stirling series at d = -1/4, used from alpha = 170 on
     (("entry", "--alpha", "171.25", "--m", "3", "--n", "40"), "-1.6677413383713315e+98\n"),
+    # a Hardy scan whose N = 250 and 500 sections are leading blocks of the
+    # N = 1000 Cholesky factor; a 30-digit Rayleigh quotient of the float64
+    # N = 250 section is 1.987643952843942382e-05, 8.8e-13 relative from the
+    # row below (a dense eigh printed 1.9876439528280224e-05, 8.0e-12 off)
+    (
+        ("probe-hardy", "--alpha", "1.25", "--epsilon", "0.3", "--schedule", "125,250,500,1000", "--format", "csv"),
+        "alpha,potential,N,min_eig,verdict\n"
+        '1.25,"power(coeff=0.038987310315266338, exponent=2.7999999999999998)",125,0.00011085526325204704,'
+        "nonnegative\n"
+        '1.25,"power(coeff=0.038987310315266338, exponent=2.7999999999999998)",250,1.9876439528456871e-05,'
+        "nonnegative\n"
+        '1.25,"power(coeff=0.038987310315266338, exponent=2.7999999999999998)",500,3.5442205277113174e-06,'
+        "nonnegative\n"
+        '1.25,"power(coeff=0.038987310315266338, exponent=2.7999999999999998)",1000,6.3013092016456193e-07,'
+        "nonnegative\n",
+    ),
 ]
 
 

@@ -323,8 +323,12 @@ class TestTauLowrankPath:
         delta = green.Potential.delta(1, 0.05)
         assert min_eig(1.5, above, delta).solver == "tau_lowrank"
         assert min_eig(1.5, below, delta).solver == "dense"
-        assert min_eig(1.5, above, green.power_hardy_weight(1.25, 0.5)).solver == "shift_invert"
-        assert min_eig(1.5, below, green.power_hardy_weight(1.25, 0.5)).solver == "dense"
+        hardy = green.power_hardy_weight(1.25, 0.5)
+        start = probes.SHIFT_INVERT_MIN_SIZE
+        assert 64 < start < above
+        assert min_eig(1.5, start, hardy).solver == "shift_invert"
+        assert min_eig(1.5, start - 1, hardy).solver == "dense"
+        assert min_eig(1.5, start - 1, delta).solver == "dense"
         assert min_eig(2.0, above, delta).solver == "band"
         assert min_eig(1.5, below, delta).rank == 0
 
@@ -384,12 +388,25 @@ class TestShiftInvertPath:
         shifted = spd + 0.5 * np.eye(size)
         q = rng.standard_normal(size)
         ref = linalg.cho_solve(linalg.cho_factor(shifted), q)
-        solve = probes._cholesky_inverse(spd, 0.5)  # factors spd in place
+        factor = probes._cholesky_factor(spd, 0.5)
+        assert np.shares_memory(factor, spd)  # factored in place
+        solve = probes._cholesky_inverse(factor)
         start = q.copy()
         x = solve(q)
         assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
         assert np.array_equal(q, start)  # the Lanczos basis keeps q
-        assert probes._cholesky_inverse(-shifted, 0.5) is None
+        assert probes._cholesky_factor(-shifted, 0.5) is None
+
+    def test_leading_factor_is_the_smaller_sections_factor(self):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((300, 300))
+        spd = a @ a.T + np.eye(300)
+        factor = probes._cholesky_factor(spd.copy(), 0.5)
+        for size in (200, 130, 1):  # compacted again and again, as a scan does
+            factor = probes._leading_factor(factor, size)
+            assert factor.shape == (size, size) and factor.flags.f_contiguous
+            ref = linalg.cholesky(spd[:size, :size] + 0.5 * np.eye(size))
+            assert np.allclose(np.triu(factor), ref, rtol=0.0, atol=1e-12 * np.abs(ref).max())
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.25])
     def test_hardy_sections_within_measured_steps(self, monkeypatch, alpha):
@@ -397,8 +414,36 @@ class TestShiftInvertPath:
         # accurate inverse would need more, and fall back to eigh
         monkeypatch.setattr(probes, "_LANCZOS_STEPS", 22)
         pot = green.power_hardy_weight(alpha, 0.5)
-        for size in (500, 1000):
+        for size in (200, 250, 500, 1000):
             assert probes._section_probe(alpha, size, pot, "").solver == "shift_invert"
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.25])
+    def test_scan_shares_the_largest_factor(self, monkeypatch, alpha):
+        # the smaller sections read leading blocks of the N = 1000 factor
+        budget = 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+        pot = green.power_hardy_weight(alpha, 0.5)
+        assembled = []
+        assemble = operators.assemble
+        monkeypatch.setattr(operators, "assemble", lambda a, n: assembled.append(n) or assemble(a, n))
+        rec = hardy_witness(alpha, 0.5, (200, 250, 500, 1000))
+        monkeypatch.undo()
+        assert assembled == [1000]
+        assert [r.size for r in rec.schedule] == [200, 250, 500, 1000]
+        for res in rec.schedule:
+            assert res.solver == "shift_invert" and res.converged
+            assert abs(res.min_eigenvalue - _dense_min(alpha, res.size, pot)) <= budget
+            alone = min_eig(alpha, res.size, pot)
+            assert alone.solver == "shift_invert"
+            assert abs(res.min_eigenvalue - alone.min_eigenvalue) <= budget
+        # the largest section is factored as a single probe factors it
+        assert rec.schedule[-1] == alone
+
+    def test_unsorted_and_repeated_schedule_keeps_argv_order(self):
+        sizes = (500, 250, 1000, 500)
+        rows = hardy_witness(0.5, 0.5, sizes).schedule
+        by_size = {r.size: r for r in hardy_witness(0.5, 0.5, (250, 500, 1000)).schedule}
+        assert [r.size for r in rows] == list(sizes)
+        assert rows == tuple(by_size[n] for n in sizes)
 
     def test_holds_one_section_array(self):
         # the factor overwrites the section, and the Rayleigh quotient and
@@ -413,6 +458,43 @@ class TestShiftInvertPath:
             tracemalloc.stop()
         assert res.solver == "shift_invert"
         assert peak < 1.5 * 8 * size * size
+
+    def test_scan_holds_one_section_array(self):
+        # the smaller section compacts the larger one's factor in place: a
+        # copy of it would take 600^2 + 500^2 > 1.5 * 600^2 floats
+        alpha, sizes = 0.75, (500, 600)
+        hardy_witness(alpha, 0.5, sizes)  # imports and first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            rec = hardy_witness(alpha, 0.5, sizes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [r.solver for r in rec.schedule] == ["shift_invert", "shift_invert"]
+        assert peak < 1.5 * 8 * max(sizes) ** 2
+
+    @pytest.mark.parametrize(
+        "pot, solvers",
+        [
+            # a deep well: every factorization fails
+            (green.Potential.power(5.0, 2.0), ["dense"] * 4),
+            # a shallow one: N = 500 and 1000 fail, N = 250 factors its own section
+            (green.Potential.power(0.55, 1.5), ["shift_invert", "shift_invert", "dense", "dense"]),
+        ],
+        ids=["deep_well", "shallow_well"],
+    )
+    def test_failed_factorization_falls_back_per_section(self, pot, solvers):
+        alpha, sizes = 0.75, (200, 250, 500, 1000)
+        rec = probes._witness(alpha, pot, pot.describe(), sizes)
+        assert [r.solver for r in rec.schedule] == solvers
+        assert rec.verdict == "negative"
+        budget = 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+        for res in rec.schedule:
+            alone = min_eig(alpha, res.size, pot)
+            if res.size > 200:  # factored alone, or solved dense: as a single probe
+                assert res == alone
+            else:  # a leading block of the N = 250 factor
+                assert abs(res.min_eigenvalue - alone.min_eigenvalue) <= budget
 
     def test_negative_section_falls_back_to_eigh(self):
         # a deep well: the factorization of B - V + tol*I fails
@@ -434,7 +516,7 @@ class TestShiftInvertPath:
             raise AssertionError("dense eigh above the crossover")
 
         monkeypatch.setattr(probes, "eigh", refuse)
-        n = probes.TAU_LOWRANK_MIN_SIZE
+        n = probes.SHIFT_INVERT_MIN_SIZE
         schedule = f"{n},{2 * n},{4 * n}"
         for alpha in ("0.25", "0.5", "1.25"):
             argv = ["probe-hardy", "--alpha", alpha, "--epsilon", "0.5", "--schedule", schedule]
