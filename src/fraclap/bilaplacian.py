@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from . import operators
+from . import operators, quadrature
 
 #: the essential spectrum of the squared operator
 SPECTRUM_TOP = 16.0
@@ -175,8 +175,6 @@ def lambda_bound_state(site: int, c: float) -> float:
     lam = -s^4/(u(1+u)^2) ~ -1/u.  On either half 1 - s or 1 - u is at least
     1/2, so forming it loses nothing.
     """
-    from scipy.optimize import brentq
-
     operators.check_count(site, "site")
     _check_coupling(c)
     rtol = 4.0 * math.ulp(1.0) * (1.0 + 1e-14)
@@ -184,17 +182,20 @@ def lambda_bound_state(site: int, c: float) -> float:
     def f(s):
         return c * _coupling_inverse(s, 1.0 - s, site) - 1.0
 
-    if f(0.5) > 0.0:
+    f_half = f(0.5)  # = f_u(1/2)
+    if f_half > 0.0:
 
         def f_u(u):
             return c * _coupling_inverse(1.0 - u, u, site) - 1.0
 
-        u = brentq(f_u, math.ulp(0.0), 0.5, xtol=math.ulp(0.0), rtol=rtol, maxiter=1200)
+        tiny = math.ulp(0.0)
+        u = quadrature.brent_root(f_u, tiny, 0.5, f_u(tiny), f_half, xtol=tiny, rtol=rtol, maxiter=1200)
         return -((1.0 - u) ** 4) / (u * (1.0 + u) ** 2)
-    if f(1e-300) <= 0.0:  # s < 1e-300: lambda ~ -s^4/4 underflows, as in the closed form
+    f_floor = f(1e-300)
+    if f_floor <= 0.0:  # s < 1e-300: lambda ~ -s^4/4 underflows, as in the closed form
         return -0.0
     # reaching s ~ 1e-300 from a bracket of width 1/2 takes ~1000 bisections
-    s = brentq(f, 1e-300, 0.5, xtol=1e-300, rtol=rtol, maxiter=1200)
+    s = quadrature.brent_root(f, 1e-300, 0.5, f_floor, f_half, xtol=1e-300, rtol=rtol, maxiter=1200)
     return -(s**4) / ((1.0 - s) * (2.0 - s) ** 2)
 
 

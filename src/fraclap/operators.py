@@ -22,10 +22,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import quadrature
 
-#: columns per FFT pass of :func:`section_product`: its length-3N work
-#: arrays then stay small next to the N x columns input and output
-_PRODUCT_BLOCK = 8
-
 
 class UnsupportedExponentError(ValueError):
     """alpha outside the supported set: alpha > 0 or alpha in {-1/2, -1}."""
@@ -269,15 +265,11 @@ def section_product(coeffs: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     def product(x: np.ndarray) -> np.ndarray:
         cols = x.reshape(size, -1)
-        out = np.empty_like(cols)
-        for j in range(0, cols.shape[1], _PRODUCT_BLOCK):
-            block = cols[:, j : j + _PRODUCT_BLOCK]
-            odd = np.zeros((length, block.shape[1]))
-            odd[1 : size + 1] = block
-            odd[length - size :] = -block[::-1]
-            spectrum = sfft.rfft(odd, axis=0) * kernel_hat[:, None]
-            out[:, j : j + _PRODUCT_BLOCK] = sfft.irfft(spectrum, length, axis=0)[1 : size + 1]
-        return out.reshape(x.shape)
+        odd = np.zeros((length, cols.shape[1]))
+        odd[1 : size + 1] = cols
+        odd[length - size :] = -cols[::-1]
+        spectrum = sfft.rfft(odd, axis=0) * kernel_hat[:, None]
+        return sfft.irfft(spectrum, length, axis=0)[1 : size + 1].reshape(x.shape)
 
     return product
 

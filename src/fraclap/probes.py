@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
 
 import numpy as np
 from scipy import fft as sfft
 from scipy import linalg
 from scipy.linalg import eig_banded, eigh, solve_banded
 
-from . import green, operators
+from . import green, operators, quadrature
 
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 
@@ -687,25 +686,23 @@ def solve_bs_lambda(alpha: float, site: int, c: float) -> float | None:
     It widens up to the largest float, and a root beyond it raises
     ValueError.
     """
-    from scipy.optimize import brentq
-
     operators.check_positive_power(alpha)
     operators.check_count(site, "site")
     if not (math.isfinite(c) and c > 0.0):
         raise ValueError(f"coupling c={c!r} must be finite and > 0")
 
-    @cache  # brentq evaluates the bracket ends again
     def f(t):
         return c * _green_diag(alpha, site, -(10.0**t)) - 1.0
 
     hi = math.log10(4.0**alpha)  # -|lam| comparable to the norm: G is tiny there
-    if f(_BS_LOG_FLOOR) <= 0.0:
+    f_floor = f(_BS_LOG_FLOOR)
+    if f_floor <= 0.0:
         return None
-    while f(hi) >= 0.0:  # eigenvalue below -4^alpha: widen until bracketed
+    while (f_hi := f(hi)) >= 0.0:  # eigenvalue below -4^alpha: widen until bracketed
         if hi == _BS_LOG_CEIL:
             raise ValueError(f"the bound state of coupling c={c!r} lies beyond float64")
         hi = min(hi + 2.0, _BS_LOG_CEIL)
-    t = brentq(f, _BS_LOG_FLOOR, hi, xtol=1e-8)
+    t = quadrature.brent_root(f, _BS_LOG_FLOOR, hi, f_floor, f_hi, xtol=1e-8)
     return -(10.0**t)
 
 

@@ -10,6 +10,9 @@ An integrand may return a family of integrands, one per row, evaluated at
 shared nodes: the oracles integrate all the entries, kernels or moments of
 one exponent in a single pass, and each row, summed by its own BLAS dot,
 still stops at its own level with the value its own call would give.
+
+The package's one root finder, :func:`brent_root`, lives here too: Brent's
+method on a bracket, in Python floats.
 """
 
 from __future__ import annotations
@@ -23,9 +26,12 @@ import numpy as np
 _U_MAX = 5.4  # trapezoid cutoff; endpoint distances stay above ~1e-150*pi
 _MAX_LEVEL = 14
 
+#: scipy.optimize.brentq's default and least relative root tolerance
+_BRENT_RTOL = 4.0 * math.ulp(1.0)
+
 
 class QuadratureError(RuntimeError):
-    """Raised when refinement fails to meet the requested tolerance."""
+    """Raised when refinement or a root search fails to meet the requested tolerance."""
 
 
 @lru_cache(maxsize=32)
@@ -100,3 +106,62 @@ def integrate_theta(
             return result if np.ndim(mid) == 2 else result[0]
         prev = estimate
     raise QuadratureError(f"tanh-sinh failed to reach tol={tol} within {_MAX_LEVEL} levels")
+
+
+def _not_nan(x: float, fx) -> float:
+    fx = float(fx)
+    if math.isnan(fx):
+        raise ValueError(f"the function value at x={x} is NaN; the root finder cannot continue")
+    return fx
+
+
+def brent_root(f, a, b, fa, fb, xtol, rtol=_BRENT_RTOL, maxiter=100):
+    """A root of f in the bracket [a, b], given fa = f(a) and fb = f(b).
+
+    Brent's method (Brent 1973, Algorithms for Minimization without
+    Derivatives, ch. 4) written out step for step as scipy.optimize.brentq
+    runs it, so it returns brentq's float, bit for bit, with brentq's
+    stopping rule |step| < (xtol + rtol*|x|)/2; f is not called at a or b.
+    An end where f is 0 is returned as is.  A NaN value raises ValueError,
+    and a bracket still wider than the tolerance after maxiter steps raises
+    QuadratureError.
+    """
+    xpre, xcur, fpre, fcur = float(a), float(b), _not_nan(a, fa), _not_nan(b, fb)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if (fpre < 0.0) != (fcur < 0.0):  # a new bracket end
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # xcur is the end where |f| is least
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # an inf or NaN step in brentq's C arithmetic: it bisects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = _not_nan(xcur, f(xcur))
+    raise QuadratureError(f"Brent's method did not converge in {maxiter} steps, last x={xcur}")

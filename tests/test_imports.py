@@ -59,6 +59,11 @@ def test_integer_entry_loads_no_scipy():
         ("hardy-check", "--alpha", "1", "--potential", "power:0.01:3"),
         ("bilap-green", "--m", "2", "--n", "3", "--lam", "-1"),
         ("bilap-lambda", "--n", "1", "--c", "1"),
+        # the bound state's and the Birman-Schwinger root are fraclap.quadrature.brent_root's
+        ("bilap-lambda", "--n", "3", "--c", "0.7"),
+        pytest.param(("bilap-lambda", "--n", "1", "--c", "1", "--method", "implicit"), id="bilap-lambda --n 1 implicit"),
+        ("probe-critical", "--alpha", "1.5", "--c", "0.05", "--schedule", "50,100,200"),
+        ("selftest",),
     ],
     ids=lambda argv: " ".join(argv[:3]),
 )
@@ -66,7 +71,13 @@ def test_no_root_finder_or_mpmath(argv):
     modules = loaded_modules(*argv)
     assert "scipy.optimize" not in modules
     assert "mpmath" not in modules
-    assert "fraclap.probes" not in modules
+    assert "fraclap.probes" not in modules or argv[0] == "probe-critical"
+
+
+@pytest.mark.parametrize("argv", [("bilap-lambda", "--n", "3", "--c", "0.7"), ("selftest",)], ids=lambda argv: argv[0])
+def test_implicit_bound_state_and_selftest_load_no_scipy(argv):
+    modules = loaded_modules(*argv)
+    assert not {m for m in modules if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_bilap_green_near_zero_loads_no_scipy():
@@ -96,8 +107,8 @@ def test_non_integer_entries_load_no_scipy(argv):
     assert not {m for m in modules if m == "scipy" or m.startswith(("scipy.", "mpmath"))}
 
 
-def test_no_library_module_imports_mpmath():
-    # mpmath is a test oracle, not a dependency
+def _library_modules_importing(module: str) -> list[str]:
+    """Files of src/fraclap with an import of module or of one of its submodules."""
     importers = []
     for path in sorted(Path(_SRC, "fraclap").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -105,10 +116,21 @@ def test_no_library_module_imports_mpmath():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            if any(name == "mpmath" or name.startswith("mpmath.") for name in names):
+                # from scipy import optimize imports scipy.optimize as well
+                names = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            if any(name == module or name.startswith(module + ".") for name in names):
                 importers.append(path.name)
-    assert importers == []
+    return importers
+
+
+def test_no_library_module_imports_mpmath():
+    # mpmath is a test oracle, not a dependency
+    assert _library_modules_importing("mpmath") == []
+
+
+def test_no_library_module_imports_scipy_optimize():
+    # the package's one root finder is fraclap.quadrature.brent_root
+    assert _library_modules_importing("scipy.optimize") == []
 
 
 @pytest.mark.parametrize(

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from fraclap import green, operators, probes, quadrature, selfcheck
-from fraclap.quadrature import QuadratureError, integrate_theta
+from fraclap import bilaplacian, green, operators, probes, quadrature, selfcheck
+from fraclap.quadrature import QuadratureError, brent_root, integrate_theta
 
 
 class TestIntegrateTheta:
@@ -265,3 +265,160 @@ class TestBatchedOracles:
             operators.entry_oracle(1.5, np.array([1, 0]), 2)
         with pytest.raises(ValueError, match="1-based"):
             green.green_entry(0.75, 1, np.array([3, -1]), -1.0)
+
+
+def _brentq_and_brent_root(f, a, b, **tolerances):
+    """(brentq's root, its calls of f) and (brent_root's, its calls plus the ends' two).
+
+    Where brentq does not converge, its root is its last iterate, which
+    brent_root names in the QuadratureError it raises.
+    """
+    from scipy.optimize import brentq
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    reference, info = brentq(f, a, b, full_output=True, disp=False, **tolerances)
+    try:
+        root = brent_root(counted, a, b, f(a), f(b), **tolerances).hex()
+    except QuadratureError as exc:
+        assert not info.converged
+        root = float(str(exc).rpartition("x=")[2]).hex()
+    else:
+        assert info.converged
+    return (reference.hex(), info.function_calls), (root, len(calls) + 2)
+
+
+#: the bound-state grid: sites, and 61 log-spaced couplings with both ends of float64's reach
+_BOUND_SITES = (1, 2, 3, 5, 10)
+_BOUND_COUPLINGS = [float(c) for c in np.logspace(-3, 6, 61)] + [1e-310, 1e300]
+
+
+class TestBrentRoot:
+    """The package's root finder against scipy.optimize.brentq, bit for bit and call for call."""
+
+    @pytest.mark.parametrize("site", _BOUND_SITES)
+    def test_bound_state_condition(self, site):
+        rtol = 4.0 * math.ulp(1.0) * (1.0 + 1e-14)
+        branches = {"s": 0, "u": 0, "floor": 0}
+        for c in _BOUND_COUPLINGS:
+
+            def f(s):
+                return c * bilaplacian._coupling_inverse(s, 1.0 - s, site) - 1.0
+
+            def f_u(u):
+                return c * bilaplacian._coupling_inverse(1.0 - u, u, site) - 1.0
+
+            if f(0.5) > 0.0:
+                tiny, branch = math.ulp(0.0), "u"
+                expected, got = _brentq_and_brent_root(f_u, tiny, 0.5, xtol=tiny, rtol=rtol, maxiter=1200)
+                u = float.fromhex(got[0])
+                lam = -((1.0 - u) ** 4) / (u * (1.0 + u) ** 2)
+            elif f(1e-300) > 0.0:
+                branch = "s"
+                expected, got = _brentq_and_brent_root(f, 1e-300, 0.5, xtol=1e-300, rtol=rtol, maxiter=1200)
+                s = float.fromhex(got[0])
+                lam = -(s**4) / ((1.0 - s) * (2.0 - s) ** 2)
+            else:
+                branch, expected, got, lam = "floor", None, None, -0.0
+            branches[branch] += 1
+            assert got == expected, (site, c)
+            assert bilaplacian.lambda_bound_state(site, c).hex() == lam.hex()
+        # c = 1e300 takes the u-branch, c = 1e-310 the -0.0 floor
+        assert branches["floor"] == 1 and branches["s"] >= 15 and branches["u"] >= 40
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: 2.0 * x - 1.0, 0.0, 3.0),
+            (lambda x: 1.0 - 3.0 * x, -2.0, 1.0),
+            (lambda x: 1e-3 * (x - math.pi), 0.0, 10.0),
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (lambda x: math.cos(x) - x, 0.0, 1.0),
+            (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+            (lambda x: (x - 1.0) ** 5, 0.0, 3.0),  # a quintuple root: many bisections
+            (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 4.0),  # flat ends
+            (lambda x: -1.0 if x < 0.7 else 2.0, 0.0, 1.0),  # a jump, no root
+            (lambda x: x * x - 1e-200, 0.0, 1.0),  # a root far below the bracket's scale
+            (lambda x: math.atan(x - 1e6), 0.0, 1e12),
+            (lambda x: 1.0 / (x - 3.0) + 2.0, 0.0, 2.9),
+            # at xtol = 5e-324, steps of zero length next to the subnormals: brentq's 0/0
+            (lambda x: x**3 - 1e-320, 0.0, 1.0),
+            (lambda x: -1.0 if x < 3e-321 else 2.0, 0.0, 1.0),
+            (lambda x: math.sqrt(x) - 1e-160, 0.0, 1.0),  # a subnormal root
+        ],
+    )
+    @pytest.mark.parametrize(
+        "tolerances",
+        [
+            {},
+            {"xtol": 1e-8},
+            {"xtol": 1e-3, "rtol": 1e-6},
+            {"xtol": 5e-324},
+            {"xtol": 5e-324, "maxiter": 1200},
+            {"maxiter": 1200},
+            {"maxiter": 3},
+        ],
+    )
+    def test_functions(self, f, a, b, tolerances):
+        tolerances = {"xtol": 2e-12, **tolerances}
+        expected, got = _brentq_and_brent_root(f, a, b, **tolerances)
+        assert got == expected
+        expected, got = _brentq_and_brent_root(f, b, a, **tolerances)  # a reversed bracket
+        assert got == expected
+
+    @pytest.mark.parametrize(
+        "f, a, b, tolerances",
+        [
+            # each case tells brentq from a copy with one comparison or rounding changed:
+            # the step test's "- delta"
+            (lambda x: x ** (1.0 / 3.0) - 0.3 ** (1.0 / 3.0), 0.0, 1.0, {"xtol": 0.5, "rtol": 1e-6, "maxiter": 3}),
+            # a short step taken only below the bound, not at it
+            (lambda x: 1.0 + 2.0 * x - 2.0 * x * x, 0.5, -1.0, {"xtol": 5e-324, "rtol": 0.125, "maxiter": 1200}),
+            # delta halved after the sum, which rounds differently among the subnormals
+            (
+                lambda x: math.copysign(math.sqrt(abs(x)), x) - math.sqrt(1e-320),
+                -1.0,
+                1.0,
+                {"xtol": 5e-324, "rtol": 0.125, "maxiter": 1200},
+            ),
+            # the stopping rule |sbis| < delta, strict
+            (
+                lambda x: (-1.0, 1.0, 1.0, -1.0)[sum(x >= j for j in (-1.625, -0.625, 2.0))],
+                -3.25,
+                1.75,
+                {"xtol": 1.0, "rtol": 0.125, "maxiter": 100},
+            ),
+        ],
+    )
+    def test_ties(self, f, a, b, tolerances):
+        expected, got = _brentq_and_brent_root(f, a, b, **tolerances)
+        assert got == expected
+
+    def test_an_end_where_f_is_zero_is_returned_as_is(self):
+        def f(x):
+            raise AssertionError("f is not called")
+
+        for a, b, fa, fb, root in [(-1, 2.0, 0.0, 1.0, -1.0), (-1.0, 2, -1.0, -0.0, 2.0), (1.0, 3.0, 0.0, 0.0, 1.0)]:
+            found = brent_root(f, a, b, fa, fb, xtol=1e-8)
+            assert type(found) is float and found.hex() == root.hex()
+        expected, got = _brentq_and_brent_root(lambda x: x - 0.25, 0.25, 1.0, xtol=1e-8)
+        assert got == expected == ((0.25).hex(), 2)
+
+    def test_nan_raises(self):
+        with pytest.raises(ValueError, match="NaN"):
+            brent_root(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0, -1.0, 1.0, xtol=1e-8)
+        with pytest.raises(ValueError, match="NaN"):
+            brent_root(lambda x: x, -1.0, 1.0, math.nan, 1.0, xtol=1e-8)
+
+    def test_ends_of_one_sign_raise(self):
+        with pytest.raises(ValueError, match="different signs"):
+            brent_root(lambda x: x, 1.0, 2.0, 1.0, 2.0, xtol=1e-8)
+
+    def test_no_convergence_raises(self):
+        # brentq raises RuntimeError; QuadratureError is one, and the CLI exits 2 on it
+        with pytest.raises(QuadratureError, match="3 steps"):
+            brent_root(lambda x: (x - 1.0) ** 5, 0.0, 3.0, -1.0, 32.0, xtol=1e-15, maxiter=3)
