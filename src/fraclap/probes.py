@@ -24,16 +24,22 @@ from . import green, operators, quadrature
 DEFAULT_SCHEDULE = (250, 500, 1000, 2000, 4000)
 
 #: smallest non-integer section given the sine transform plus a low-rank
-#: correction, with a potential on at most _LOWRANK_MAX_SUPPORT sites;
-#: below it the dense eigh is as fast (measured crossover)
+#: correction, with a potential on at most _LOWRANK_MAX_SUPPORT sites,
+#: in O(N) memory; below it shift-invert is faster (delta(1, 0.05) at
+#: alpha = 1.5: 2.1-2.4 ms against 1.1 at N = 250, 2.6-3.7 against 2.0-2.1
+#: at N = 400, 2.8-4.4 against 3.1-3.3 at N = 500; measured as below)
 TAU_LOWRANK_MIN_SIZE = 400
 
-#: smallest non-integer section given Cholesky shift-invert Lanczos, with a
-#: potential on more sites; below it the dense eigh is as fast (measured
-#: crossover of one section factored alone, Hardy weights at alpha in
-#: {0.25, 0.5, 1.25}: 0.8-1.9 ms against 1.2-1.9 ms for eigh at N = 200,
-#: 1.0-1.9 against 1.9-3.2 at N = 250, 0.5-1.3 against 0.3-0.5 at N = 65;
-#: best of 15, one OpenBLAS thread, 2-core Xeon)
+#: smallest non-integer section that factors its own Cholesky for
+#: shift-invert Lanczos, whatever the potential's support; below it the
+#: dense eigh is as fast (measured crossover of one section factored alone,
+#: Hardy weights at alpha in {0.25, 0.5, 1.25}: 0.8-1.9 ms against 1.2-1.9
+#: ms for eigh at N = 200, 1.0-1.9 against 1.9-3.2 at N = 250, 0.5-1.3
+#: against 0.3-0.5 at N = 65; delta(1, 0.05) at alpha = 1.5: 0.75-1.15
+#: against 0.90-0.97 at N = 150, 1.1 against 2.4-2.6 at N = 250; best of
+#: 15, one OpenBLAS thread, 2-core Xeon).  A smaller section under a
+#: scan's held factor needs no Cholesky of its own and runs shift-invert
+#: at any size.
 SHIFT_INVERT_MIN_SIZE = 200
 
 #: most potential sites folded into the low-rank correction
@@ -505,9 +511,15 @@ class _ScanFactor:
     factor the leading block of theirs.  The largest shift-invert section
     is factored once, in place; each smaller one compacts the leading
     block of the same memory (:func:`_leading_factor`), so one N x N array
-    serves the whole scan.  Where no factor is held, or a smaller one, the
-    section is assembled and factored afresh: after a failed factorization
-    the next section factors its own, as a single probe does.
+    serves the whole scan.  That holds for every potential, so a section
+    the held factor covers runs shift-invert whatever its size or support:
+    in a critical scan on 125, 250, 500, 1000 the N = 250 delta section is
+    factored and N = 125 runs Lanczos on its leading block, 1.5-2.9 ms for
+    the pair against 3.0-4.5 ms by eigh (alpha in {0.75, 1.25, 1.5, 1.75},
+    timed as for SHIFT_INVERT_MIN_SIZE).  Where no factor is held, or a
+    smaller one, the section is assembled and factored afresh: after a
+    failed factorization the next section factors its own, as a single
+    probe does, or goes to eigh below SHIFT_INVERT_MIN_SIZE.
     """
 
     def __init__(self):
@@ -518,12 +530,16 @@ class _ScanFactor:
 
         None where that matrix is not positive definite.
         """
-        if self._factor is not None and self._factor.shape[0] >= size:
+        if self.covers(size):
             self._factor = _leading_factor(self._factor, size)
         else:
             self._factor = None  # freed before the next section is assembled
             self._factor = _cholesky_factor(_dense_section(alpha, size, values, reflected), probe_tol(alpha))
         return None if self._factor is None else _cholesky_inverse(self._factor)
+
+    def covers(self, size: int) -> bool:
+        """True where a factor of at least size x size is held."""
+        return self._factor is not None and self._factor.shape[0] >= size
 
     def release(self) -> None:
         """Frees the held factor, before an eigh that needs the memory of two sections."""
@@ -605,12 +621,20 @@ def _section_probe(
       and never densified;
     * other powers go to :func:`_probe_tau_lowrank` from size
       TAU_LOWRANK_MIN_SIZE with a potential on at most
-      _LOWRANK_MAX_SUPPORT sites, and to :func:`_probe_shift_invert` from
-      size SHIFT_INVERT_MIN_SIZE with more (power Hardy weights, power
-      potentials), its Cholesky factor taken from factors, which a scan
-      shares between its sections (:class:`_ScanFactor`);
-    * smaller sections, and those where either path gives up, are solved
-      dense by eigh, after factors has freed any factor it holds.
+      _LOWRANK_MAX_SUPPORT sites;
+    * where that path is not taken or gives up, to
+      :func:`_probe_shift_invert` from size SHIFT_INVERT_MIN_SIZE, and at
+      any size that factors already covers, whatever the potential's
+      support: its Cholesky factor comes from factors, which a scan shares
+      between its sections (:class:`_ScanFactor`).  For delta(1, 0.05) one
+      section took 1.1 ms against 2.4-2.6 ms by eigh at N = 250 and
+      0.75-1.15 against 0.90-0.97 at N = 150 (best of 15, one OpenBLAS
+      thread, 2-core Xeon);
+    * the rest, and those where shift-invert gives up, are solved dense by
+      eigh, after factors has freed any factor it holds.
+
+    So the chain is tau_lowrank, shift_invert, eigh, each step taken only
+    where the one before it gives up.
 
     Each path's working set is checked against physical memory before it
     is formed, the potential's values included.  Each path returns lam, v
@@ -648,7 +672,7 @@ def _section_probe(
     else:
         operators.check_memory(_DENSE_COPIES * 8 * size * size, f"a dense {size} x {size} section")
         factors = _ScanFactor() if factors is None else factors
-        shift_invert = not sparse and size >= SHIFT_INVERT_MIN_SIZE
+        shift_invert = size >= SHIFT_INVERT_MIN_SIZE or factors.covers(size)
         solved = _probe_shift_invert(alpha, size, values, reflected, factors) if shift_invert else None
         if solved is None:
             factors.release()

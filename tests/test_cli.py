@@ -209,14 +209,22 @@ _FIXED_OUTPUTS = [
         "decision admissible\npartial_sum 0.092771679690644357\n"
         "tail_bound 0.00033599832001259992\nthreshold 3.708149354602746\n",
     ),
+    # the N = 200 section is factored in place, N = 100 and 50 are leading
+    # blocks of its factor; 40-digit Rayleigh quotients of these vectors under
+    # the exact section (c[k] in mpmath) are 3.170956312470316034351777686323046022709e-4,
+    # 4.109852384872321377538962746899196671410e-5 and
+    # 5.229444056147111505483762578386029772915e-6: 2.2e-12, 1.2e-11 and
+    # 1.7e-12 relative from the rows below (a dense eigh printed
+    # 0.00031709563124828025, 4.1098523846623142e-05 and 5.2294440560951921e-06,
+    # 3.9e-12, 5.1e-11 and 9.9e-12 off)
     (
         ("probe-critical", "--alpha", "1.5", "--c", "0.05", "--schedule", "50,100,200", "--format", "csv"),
         "alpha,potential,N,min_eig,verdict\n"
-        '1.5,"delta(site=1, coeff=0.050000000000000003)",50,0.00031709563124828025,'
+        '1.5,"delta(site=1, coeff=0.050000000000000003)",50,0.00031709563124772292,'
         "negative_beyond_resolution\n"
-        '1.5,"delta(site=1, coeff=0.050000000000000003)",100,4.1098523846623142e-05,'
+        '1.5,"delta(site=1, coeff=0.050000000000000003)",100,4.1098523849222645e-05,'
         "negative_beyond_resolution\n"
-        '1.5,"delta(site=1, coeff=0.050000000000000003)",200,5.2294440560951921e-06,'
+        '1.5,"delta(site=1, coeff=0.050000000000000003)",200,5.2294440561562327e-06,'
         "negative_beyond_resolution\n",
     ),
     (("selftest",), _SELFTEST_TABLE),
@@ -244,14 +252,17 @@ _FIXED_OUTPUTS = [
     (("gn", "--alpha", "0.75", "--n", "9,8,1"), "9 11.553200516532723\n8 10.83542239155965\n1 3.2000000000000011\n"),
     # c[0] from the Stirling series at d = -1/4, used from alpha = 170 on
     (("entry", "--alpha", "171.25", "--m", "3", "--n", "40"), "-1.6677413383713315e+98\n"),
-    # a Hardy scan whose N = 250 and 500 sections are leading blocks of the
-    # N = 1000 Cholesky factor; a 30-digit Rayleigh quotient of the float64
-    # N = 250 section is 1.987643952843942382e-05, 8.8e-13 relative from the
-    # row below (a dense eigh printed 1.9876439528280224e-05, 8.0e-12 off)
+    # a Hardy scan whose N = 125, 250 and 500 sections are leading blocks of
+    # the N = 1000 Cholesky factor; a 30-digit Rayleigh quotient of the
+    # float64 N = 250 section is 1.987643952843942382e-05, 8.8e-13 relative
+    # from the row below (a dense eigh printed 1.9876439528280224e-05, 8.0e-12
+    # off).  A 40-digit Rayleigh quotient of the N = 125 vector under the exact
+    # section is 1.108552632523136105518734627922688256854e-4, 4.4e-12 relative
+    # from its row (a dense eigh printed 0.00011085526325204704, 2.4e-12 off)
     (
         ("probe-hardy", "--alpha", "1.25", "--epsilon", "0.3", "--schedule", "125,250,500,1000", "--format", "csv"),
         "alpha,potential,N,min_eig,verdict\n"
-        '1.25,"power(coeff=0.038987310315266338, exponent=2.7999999999999998)",125,0.00011085526325204704,'
+        '1.25,"power(coeff=0.038987310315266338, exponent=2.7999999999999998)",125,0.00011085526325182215,'
         "nonnegative\n"
         '1.25,"power(coeff=0.038987310315266338, exponent=2.7999999999999998)",250,1.9876439528456871e-05,'
         "nonnegative\n"

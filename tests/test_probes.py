@@ -276,14 +276,22 @@ class TestTauLowrankPath:
         assert min_eig(1.5, 1000, green.Potential.delta(1, 0.05)).solver == "tau_lowrank"
         assert sum(widths) == probes._LOWRANK_PROBES + 1
 
-    @pytest.mark.parametrize("reflected", [False, True])
-    def test_failed_estimate_falls_back_to_eigh(self, monkeypatch, reflected):
+    @pytest.mark.parametrize("reflected, solver", [(False, "dense"), (True, "shift_invert")])
+    def test_failed_estimate_falls_back_along_the_chain(self, monkeypatch, reflected, solver):
+        # a refused correction goes to shift-invert; the plain section has a
+        # bound state, so its factorization fails and eigh takes over
         alpha, size, pot = 1.25, probes.TAU_LOWRANK_MIN_SIZE, green.Potential.delta(2, 0.3)
         monkeypatch.setattr(probes, "_LOWRANK_ACCEPT", 0.0)
         res = probes._section_probe(alpha, size, pot, "", reflected)
-        assert res.solver == "dense" and res.rank == 0 and res.converged
+        assert res.solver == solver and res.rank == 0 and res.converged
         section = probes._dense_section(alpha, size, pot.values(size), reflected)
-        assert res.min_eigenvalue == probes._probe_dense(section)[0]
+        factored = probes._cholesky_factor(section.copy(), probe_tol(alpha)) is not None
+        assert factored == (solver == "shift_invert")
+        if factored:
+            budget = 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+            assert abs(res.min_eigenvalue - _dense_min(alpha, size, pot, reflected)) <= budget
+        else:
+            assert res.min_eigenvalue == probes._probe_dense(section)[0]
 
     @pytest.mark.parametrize(
         "alpha, pot",
@@ -319,16 +327,23 @@ class TestTauLowrankPath:
 
     def test_dispatch(self):
         above, below = probes.TAU_LOWRANK_MIN_SIZE, probes.TAU_LOWRANK_MIN_SIZE - 1
-        assert 200 < above <= 1000
-        delta = green.Potential.delta(1, 0.05)
-        assert min_eig(1.5, above, delta).solver == "tau_lowrank"
-        assert min_eig(1.5, below, delta).solver == "dense"
-        hardy = green.power_hardy_weight(1.25, 0.5)
         start = probes.SHIFT_INVERT_MIN_SIZE
-        assert 64 < start < above
-        assert min_eig(1.5, start, hardy).solver == "shift_invert"
-        assert min_eig(1.5, start - 1, hardy).solver == "dense"
-        assert min_eig(1.5, start - 1, delta).solver == "dense"
+        assert 64 < start < above <= 1000
+        delta = green.Potential.delta(1, 0.05)
+        hardy = green.power_hardy_weight(1.25, 0.5)
+        assert min_eig(1.5, above, delta).solver == "tau_lowrank"
+        # shift-invert from its crossover up, whatever the potential's support
+        for pot in (delta, hardy):
+            assert min_eig(1.5, below, pot).solver == "shift_invert"
+            assert min_eig(1.5, start, pot).solver == "shift_invert"
+            assert min_eig(1.5, start - 1, pot).solver == "dense"
+        # and at every size under a held factor
+        for pot in (delta, hardy):
+            factors = probes._ScanFactor()
+            for size in (start, start - 1, 64, 1):
+                res = probes._section_probe(1.5, size, pot, "", factors=factors)
+                assert res.solver == "shift_invert" and factors.covers(size)
+            assert not factors.covers(2)
         assert min_eig(2.0, above, delta).solver == "band"
         assert min_eig(1.5, below, delta).rank == 0
 
@@ -510,6 +525,66 @@ class TestShiftInvertPath:
         res = min_eig(alpha, size, pot)
         assert res.solver == "dense" and res.converged
         assert abs(res.min_eigenvalue - _dense_min(alpha, size, pot)) <= 1e-14 * (1.0 + 4.0**alpha)
+
+    @pytest.mark.parametrize("alpha", [0.75, 1.25, 1.5, 1.75])
+    def test_critical_scan_factors_once_and_never_calls_eigh(self, monkeypatch, alpha):
+        # N = 500 and 1000 on the low-rank path; N = 250 factored in place,
+        # N = 125 on the leading block of its factor
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigh on a critical scan")
+
+        assembled = []
+        assemble = operators.assemble
+        monkeypatch.setattr(operators, "assemble", lambda a, n: assembled.append(n) or assemble(a, n))
+        monkeypatch.setattr(probes, "eigh", refuse)
+        (rec,) = criticality_scan(alpha, 1, [0.05], (125, 250, 500, 1000))
+        monkeypatch.undo()
+        assert assembled == [250]
+        solvers = [r.solver for r in rec.schedule]
+        assert solvers == ["shift_invert", "shift_invert", "tau_lowrank", "tau_lowrank"]
+        budget = 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+        pot = green.Potential.delta(1, 0.05)
+        for res in rec.schedule:
+            assert res.converged
+            assert abs(res.min_eigenvalue - _dense_min(alpha, res.size, pot)) <= budget
+
+    @pytest.mark.parametrize("reflected", [False, True])
+    @pytest.mark.parametrize(
+        "pot",
+        [green.Potential.delta(1, 0.05), green.Potential.zero(), green.power_hardy_weight(1.25, 0.5)],
+        ids=["delta", "zero", "hardy"],
+    )
+    def test_leading_blocks_down_to_one_site(self, pot, reflected):
+        # Lanczos on 3 x 3 to 1 x 1 leading blocks of the N = 250 factor
+        alpha, sizes = 1.25, (250, 199, 64, 3, 2, 1)
+        rec = probes._witness(alpha, pot, pot.describe(), sizes, reflected=reflected)
+        budget = 4.0 * np.finfo(float).eps * (1.0 + 4.0**alpha)
+        assert [r.size for r in rec.schedule] == list(sizes)
+        for res in rec.schedule:
+            assert res.solver == "shift_invert" and res.converged
+            assert abs(res.min_eigenvalue - _dense_min(alpha, res.size, pot, reflected)) <= budget
+
+    @pytest.mark.parametrize(
+        "alpha, pot",
+        [(1.75, green.Potential.delta(1, 0.1)), (1.75, green.Potential.delta(3, 5.0))],
+        ids=["critical-0.1", "deep-well"],
+    )
+    def test_failed_factorization_gives_eigh_on_every_section(self, alpha, pot):
+        # N = 250 fails to factor, so no factor is held for N = 125
+        rec = probes._witness(alpha, pot, pot.describe(), (125, 250))
+        for res in rec.schedule:
+            section = probes._dense_section(alpha, res.size, pot.values(res.size), False)
+            assert res.solver == "dense" and res.converged
+            assert res.min_eigenvalue == probes._probe_dense(section)[0]
+
+    def test_clustered_bottom_stalls_lanczos_then_eigh(self):
+        # at alpha = 5.5 many eigenvalues of the zero-potential section lie
+        # under the shift: Lanczos runs to its step cap and eigh answers
+        alpha, size, pot = 5.5, probes.TAU_LOWRANK_MIN_SIZE - 1, green.Potential.zero()
+        res = min_eig(alpha, size, pot)
+        section = probes._dense_section(alpha, size, pot.values(size), False)
+        assert res.solver == "dense" and res.converged
+        assert res.min_eigenvalue == probes._probe_dense(section)[0]
 
     def test_probe_hardy_never_calls_eigh(self, monkeypatch, capsys):
         def refuse(*args, **kwargs):
